@@ -46,13 +46,11 @@ from . import (
     byzantine,
     core,
     dynamic,
-    fastpath,
     fuzz,
     generators,
     network,
     verify,
 )
-from .fastpath import fast_path, reference_path
 from .core import (
     AlgorithmConfig,
     BuildMST,
@@ -142,8 +140,6 @@ __all__ = [
     "build_st",
     "core",
     "dynamic",
-    "fast_path",
-    "fastpath",
     "fuzz",
     "generators",
     "get_fault",
@@ -154,7 +150,6 @@ __all__ = [
     "list_workloads",
     "make_scheduler",
     "network",
-    "reference_path",
     "register",
     "register_fault",
     "register_workload",

@@ -51,10 +51,10 @@ Registered names
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from .. import fastpath
 from ..baselines.flooding_st import flooding_spanning_tree
 from ..baselines.ghs import GHSBuildMST
 from ..baselines.recompute_repair import RecomputeMaintainer
@@ -63,11 +63,7 @@ from ..core.build_mst import BuildMST, BuildReport
 from ..core.build_st import BuildST
 from ..core.config import AlgorithmConfig
 from ..dynamic import TreeMaintainer, UpdateKind, UpdateStream
-from ..network.broadcast import (
-    delivery_substrate,
-    make_substrate,
-    run_reference_broadcast_echo,
-)
+from ..network.broadcast import make_substrate, run_reference_broadcast_echo
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
@@ -307,14 +303,20 @@ class _KKTConstructionRunner:
         seed: Optional[int] = None,
         c: float = 1.0,
         phase_policy: str = "adaptive",
+        substrate: str = "plain",
     ) -> BuildReport:
         """Run on an existing graph, returning the raw :class:`BuildReport`.
 
         This is what the ``repro.build_mst`` / ``repro.build_st``
         compatibility shims delegate to.
         """
+        n = max(graph.num_nodes, 1)
         config = AlgorithmConfig(
-            n=max(graph.num_nodes, 1), c=c, seed=seed, phase_policy=phase_policy
+            n=n,
+            c=c,
+            seed=seed,
+            phase_policy=phase_policy,
+            substrate=make_substrate(substrate, n=n),
         )
         return self._builder_cls(graph, config=config).run()
 
@@ -331,10 +333,9 @@ class _KKTConstructionRunner:
         graph, workload, fault, _program, extra = _scenario_graph(experiment)
         seed = experiment.graph.seed if algorithm_seed is None else algorithm_seed
         start = time.perf_counter()
-        with delivery_substrate(make_substrate(substrate, n=max(graph.num_nodes, 1))):
-            report = self.build_report(
-                graph, seed=seed, c=c, phase_policy=phase_policy
-            )
+        report = self.build_report(
+            graph, seed=seed, c=c, phase_policy=phase_policy, substrate=substrate
+        )
         elapsed = time.perf_counter() - start
         checks = {"spanning": is_spanning_forest(report.forest)}
         if self._check_minimum:
@@ -580,6 +581,22 @@ def _repair_mode(mode: Optional[str]) -> str:
     return mode
 
 
+def repair_batch_size() -> int:
+    """Default wave size for batched impromptu repair (0 = sequential).
+
+    Read from ``REPRO_REPAIR_BATCH`` at the runner/CLI edge; an explicit
+    ``repair_batch`` argument or a ``ScheduleSpec.batch_size`` always wins
+    (see :func:`_effective_repair_batch`).  Unlike the kernel choice this is
+    *not* wall-clock-only: batched repair trades per-update counter
+    attribution for per-wave amortized accounting (final-forest equality is
+    the contract).
+    """
+    try:
+        return max(0, int(os.environ.get("REPRO_REPAIR_BATCH", "0")))
+    except ValueError:
+        return 0
+
+
 def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
     """The wave size a repair runner should use (0 = sequential).
 
@@ -594,7 +611,7 @@ def _effective_repair_batch(repair_batch: Optional[int], schedule) -> int:
         return repair_batch
     if schedule is not None and schedule.batch_size is not None:
         return schedule.batch_size
-    return fastpath.repair_batch_size()
+    return repair_batch_size()
 
 
 @register("kkt-repair", summary="KKT impromptu repair of an MST/ST under a registered workload")
@@ -626,18 +643,21 @@ class KKTRepairRunner:
         batch = _effective_repair_batch(repair_batch, schedule)
 
         start = time.perf_counter()
-        with delivery_substrate(make_substrate(substrate, n=max(graph.num_nodes, 1))):
-            maintainer = TreeMaintainer(
-                graph, forest, mode=scenario.mode, seed=scenario.seed
+        maintainer = TreeMaintainer(
+            graph,
+            forest,
+            mode=scenario.mode,
+            seed=scenario.seed,
+            substrate=make_substrate(substrate, n=max(graph.num_nodes, 1)),
+        )
+        if batch >= 1:
+            outcomes = maintainer.apply_stream(stream, batch_size=batch)
+            fault_outcomes = maintainer.apply_stream(
+                scenario.fault_stream, batch_size=batch
             )
-            if batch >= 1:
-                outcomes = maintainer.apply_stream(stream, batch_size=batch)
-                fault_outcomes = maintainer.apply_stream(
-                    scenario.fault_stream, batch_size=batch
-                )
-            else:
-                outcomes = maintainer.apply_stream(stream)
-                fault_outcomes = maintainer.apply_stream(scenario.fault_stream)
+        else:
+            outcomes = maintainer.apply_stream(stream)
+            fault_outcomes = maintainer.apply_stream(scenario.fault_stream)
         elapsed = time.perf_counter() - start
 
         checker = is_minimum_spanning_forest if scenario.mode == "mst" else is_spanning_forest

@@ -1,10 +1,10 @@
 """Benchmark trajectory harness: fast path vs reference, counters pinned.
 
 ``repro bench`` runs each registered micro-benchmark twice — once with the
-reference implementations (:func:`repro.fastpath.reference_path`, i.e. the
-pre-fast-path code) and once with the fast path (cached tree structures,
-one-pass sketch kernels, batched columnar passes) — records the wall-clock
-of both, **asserts that every observable counter (messages, bits, rounds,
+reference kernels (:func:`repro.verify.reference.reference_path`: fresh tree
+rooting, straight-line node-local values) and once with the production
+kernels (cached tree structures, one-pass sketch kernels, batched columnar
+passes) — records the wall-clock of both, **asserts that every observable counter (messages, bits, rounds,
 broadcast-and-echoes, phases) is bit-identical**, and emits a
 machine-readable JSON record (``BENCH_PR9.json`` by default) so the
 repository accumulates a perf trajectory across PRs.
@@ -69,7 +69,6 @@ import tracemalloc
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import fastpath
 from .accel import HAVE_NUMPY
 from .api.scenario import WorkloadSpec
 from .api.spec import GraphSpec
@@ -86,6 +85,7 @@ from .network.broadcast import BroadcastEchoExecutor, make_substrate
 from .network.errors import AlgorithmError
 from .network.fragments import SpanningForest
 from .network.graph import Graph
+from .verify.reference import reference_path
 
 __all__ = [
     "BENCHMARKS",
@@ -579,12 +579,11 @@ def run_benchmark(name: str, n: int, seed: int = 2015, mem: bool = False) -> Ben
     wall_reference: Optional[float] = None
     peak_reference: Optional[int] = None
     if run_reference:
-        with fastpath.reference_path():
+        with reference_path():
             reference_counters, _, wall_reference, peak_reference = _timed_pass(
                 bench, n, seed, mem
             )
-    with fastpath.fast_path():
-        fast_counters, m, wall_fast, peak_fast = _timed_pass(bench, n, seed, mem)
+    fast_counters, m, wall_fast, peak_fast = _timed_pass(bench, n, seed, mem)
 
     equal = (not run_reference) or fast_counters == reference_counters
     return BenchRecord(
@@ -649,8 +648,7 @@ def run_benchmarks(
             # pass otherwise absorbs allocator/import warmup into whichever
             # benchmark happens to run first — a 3 ms row can read 8x slow,
             # which poisons that row's speedup in the committed trajectory.
-            with fastpath.fast_path():
-                bench.fn(bench_sizes[0], bench.density, seed)
+            bench.fn(bench_sizes[0], bench.density, seed)
             warmed = True
         for n in bench_sizes:
             if progress is not None:

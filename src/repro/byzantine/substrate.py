@@ -19,7 +19,8 @@ from two sides, in the same way the fast path mirrors the reference path.
 Registering the class under the name ``"bracha"``
 (:func:`~repro.network.broadcast.register_substrate`) makes it available to
 the CLI's ``run --substrate bracha`` and to
-:func:`~repro.network.broadcast.delivery_substrate`.
+:func:`~repro.network.broadcast.make_substrate`, whose result a run carries
+in its :class:`~repro.core.config.AlgorithmConfig`.
 """
 
 from __future__ import annotations

@@ -80,7 +80,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from . import fastpath
 from .analysis import ExperimentTable, run_construction_measurement, summarize
 from .api import (
     DENSITY_PROFILES,
@@ -101,6 +100,7 @@ from .api import (
     scenario_grid,
     workload_summaries,
 )
+from .api.runners import repair_batch_size
 from .api.scenario import _load_trace, list_workloads
 from .baselines import RecomputeMaintainer
 from .core.build_mst import BuildMST
@@ -744,7 +744,7 @@ def _command_repair(args: argparse.Namespace) -> int:
     builder = BuildMST(graph, config=config) if args.mode == "mst" else BuildST(graph, config=config)
     report = builder.run()
     maintainer = TreeMaintainer(graph, report.forest, mode=args.mode, seed=args.seed)
-    batch = args.repair_batch if args.repair_batch is not None else fastpath.repair_batch_size()
+    batch = args.repair_batch if args.repair_batch is not None else repair_batch_size()
     batch_size = batch if batch >= 1 else None
     workload = WorkloadSpec(name=args.workload, updates=args.updates).resolve_seed(spec.seed)
     stream = workload.build(graph, report.forest)

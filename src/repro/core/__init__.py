@@ -27,16 +27,7 @@ from .polynomial import SetEqualitySketch, combine_products, local_product
 from .primes import is_prime, next_prime, prime_at_least, prime_for_field
 from .repair import RepairReport, TreeRepairer
 from .sample import SuperpolyFindMin
-from .sketches import (
-    local_parity,
-    local_prefix_parities,
-    local_range_parities,
-    local_xor_below,
-    pack_parity_word,
-    unpack_parity_word,
-    xor_combine,
-    xor_vector_combine,
-)
+from .sketches import xor_combine
 from .testout import CutTester, TreeStatistics
 
 __all__ = [
@@ -60,19 +51,12 @@ __all__ = [
     "TreeStatistics",
     "combine_products",
     "is_prime",
-    "local_parity",
-    "local_prefix_parities",
     "local_product",
-    "local_range_parities",
-    "local_xor_below",
     "next_prime",
-    "pack_parity_word",
     "prime_at_least",
     "prime_for_field",
     "random_fingerprint",
     "random_odd_hash",
     "random_pairwise_hash",
-    "unpack_parity_word",
     "xor_combine",
-    "xor_vector_combine",
 ]

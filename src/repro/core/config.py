@@ -15,7 +15,10 @@ The paper's procedures are parameterised by a handful of constants:
 
 :class:`AlgorithmConfig` bundles them, derives the iteration budgets used by
 ``FindMin`` / ``FindMin-C`` / ``FindAny`` (Lemmas 2 and 5), and owns the
-random generator so that every run is reproducible from a seed.
+random generator so that every run is reproducible from a seed.  It also
+carries a run's two execution choices — the delivery substrate and the
+node-local kernel class — so they reach every procedure explicitly instead
+of through process-wide state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..network.broadcast import DeliverySubstrate
 from ..network.errors import AlgorithmError
+from .kernels import KERNELS
 
 __all__ = ["AlgorithmConfig", "TESTOUT_SUCCESS_PROBABILITY", "FINDANY_SUCCESS_PROBABILITY"]
 
@@ -57,6 +62,15 @@ class AlgorithmConfig:
         ``"adaptive"`` (default) lets Build-MST/ST stop once every fragment's
         emptiness has been verified; ``"paper"`` runs the fixed
         ``(40c/C)·lg n`` phases of Section 3.3.
+    substrate:
+        How each logical tree-hop message is delivered (see
+        :func:`~repro.network.broadcast.make_substrate`); ``None`` is the
+        plain direct send.
+    kernels:
+        The class computing node-local values;
+        ``None`` takes the value of :data:`repro.core.kernels.KERNELS` at
+        construction (the production kernels unless a caller is inside
+        :func:`repro.verify.reference.reference_path`).
     """
 
     n: int
@@ -64,6 +78,8 @@ class AlgorithmConfig:
     word_size: Optional[int] = None
     seed: Optional[int] = None
     phase_policy: str = "adaptive"
+    substrate: Optional[DeliverySubstrate] = None
+    kernels: Optional[type] = None
     rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -77,6 +93,8 @@ class AlgorithmConfig:
             self.word_size = max(2, math.ceil(math.log2(max(self.n, 2))))
         if self.word_size < 2:
             raise AlgorithmError("word_size must be at least 2")
+        if self.kernels is None:
+            self.kernels = KERNELS.get()
         self.rng = random.Random(self.seed)
 
     # ------------------------------------------------------------------ #

@@ -28,29 +28,17 @@ worst-case ``O(|T_x|)`` and its success probability at least ``1/16``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .. import fastpath
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import TreeStructure
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
 from .findmin import FindResult
-from .hashing import PairwiseIndependentHash, random_pairwise_hash
+from .hashing import random_pairwise_hash
 from .primes import prime_for_field
-from .sketches import (
-    local_prefix_parities,
-    local_xor_below,
-    prefix_flip_masks,
-    prefix_parity_word,
-    prefix_parity_words_all,
-    unpack_parity_word,
-    xor_below_from_numbers,
-    xor_below_words_all,
-    xor_combine,
-    xor_vector_combine,
-)
+from .sketches import xor_combine
 from .testout import CutTester
 
 __all__ = ["FindAny"]
@@ -79,7 +67,7 @@ class FindAny:
         """Run FindAny (or FindAny-C when ``capped``) from ``root``."""
         start = self.accountant.snapshot()
         start_be = self.accountant.broadcast_echoes
-        tree = self.forest.rooted_structure(root)
+        tree = self.tester.kernels.rooted(root)
 
         # Statistics B&E: maxEdgeNum (hash universe), B (range size, prime).
         stats = self.tester.tree_statistics(root, tree=tree)
@@ -130,89 +118,28 @@ class FindAny:
             rng=self.config.rng,
         )
 
-        fast = fastpath.is_enabled()
-        cols = self.tester._batch_columnar(tree)
+        kernels = self.tester.kernels
+        executor = self.tester.executor
 
-        # Step 3(a-c): prefix-parity vector, XORed up the tree.  On the fast
-        # path the per-node vector is a single parity word (one hash per
-        # incident edge, all prefixes derived from its bit length) combined
-        # with int XOR; the echo width charged is identical.  On large
-        # covering trees the words for every node come from one batched pass
-        # over the columnar snapshot instead of one kernel call per node.
-        if fast:
-            masks = prefix_flip_masks(pairwise.log_range)
-
-            if cols is not None:
-                words = prefix_parity_words_all(cols, pairwise, masks)
-                pos = cols.pos
-
-                def local_word(node: int) -> int:
-                    return words[pos[node]]
-
-            else:
-
-                def local_word(node: int) -> int:
-                    return prefix_parity_word(
-                        self.graph.incident_arrays(node).numbers, pairwise, masks
-                    )
-
-            word = self.tester.executor.broadcast_and_echo(
-                root=root,
-                local_value=local_word,
-                combine=xor_combine,
-                broadcast_bits=pairwise.description_bits(),
-                echo_bits=pairwise.log_range + 1,
-                tree=tree,
-                kind="findany:vector",
-            )
-            vector: List[int] = unpack_parity_word(word, pairwise.log_range + 1)
-        else:
-
-            def local_vector(node: int) -> List[int]:
-                numbers = [
-                    e.edge_number(id_bits) for e in self.graph.incident_edges(node)
-                ]
-                return local_prefix_parities(numbers, pairwise)
-
-            vector = self.tester.executor.broadcast_and_echo(
-                root=root,
-                local_value=local_vector,
-                combine=xor_vector_combine,
-                broadcast_bits=pairwise.description_bits(),
-                echo_bits=pairwise.log_range + 1,
-                tree=tree,
-                kind="findany:vector",
-            )
-        min_prefix = next((i for i, bit in enumerate(vector) if bit), None)
-        if min_prefix is None:
+        # Step 3(a-c): the prefix-parity word, XORed up the tree.  Bit i is
+        # the parity of the node's incident edges hashing into [2^i].
+        word = executor.broadcast_and_echo(
+            root=root,
+            local_value=kernels.prefix_parity(tree, pairwise),
+            combine=xor_combine,
+            broadcast_bits=pairwise.description_bits(),
+            echo_bits=pairwise.log_range + 1,
+            tree=tree,
+            kind="findany:vector",
+        )
+        if word == 0:
             return None
+        min_prefix = (word & -word).bit_length() - 1
 
         # Step 3(d): XOR of edge numbers hashing below 2^min.
-        if fast and cols is not None:
-            xor_words = xor_below_words_all(cols, pairwise, min_prefix)
-            cols_pos = cols.pos
-
-            def local_xor(node: int) -> int:
-                return xor_words[cols_pos[node]]
-
-        elif fast:
-
-            def local_xor(node: int) -> int:
-                return xor_below_from_numbers(
-                    self.graph.incident_arrays(node).numbers, pairwise, min_prefix
-                )
-
-        else:
-
-            def local_xor(node: int) -> int:
-                numbers = [
-                    e.edge_number(id_bits) for e in self.graph.incident_edges(node)
-                ]
-                return local_xor_below(numbers, pairwise, min_prefix)
-
-        candidate = self.tester.executor.broadcast_and_echo(
+        candidate = executor.broadcast_and_echo(
             root=root,
-            local_value=local_xor,
+            local_value=kernels.xor_below(tree, pairwise, min_prefix),
             combine=xor_combine,
             broadcast_bits=max(pairwise.log_range.bit_length(), 1),
             echo_bits=2 * id_bits,
@@ -223,37 +150,12 @@ class FindAny:
             return None
 
         # Step 4: the Test — count endpoints in T incident to the candidate.
-        if fast and cols is not None:
-            cols_numbers = cols.numbers
-            count_pos = cols.pos
-            cols_indptr = cols.indptr
-
-            def local_count(node: int) -> int:
-                row = count_pos[node]
-                return cols_numbers[cols_indptr[row] : cols_indptr[row + 1]].count(
-                    candidate
-                )
-
-        elif fast:
-
-            def local_count(node: int) -> int:
-                return self.graph.incident_arrays(node).numbers.count(candidate)
-
-        else:
-
-            def local_count(node: int) -> int:
-                return sum(
-                    1
-                    for e in self.graph.incident_edges(node)
-                    if e.edge_number(id_bits) == candidate
-                )
-
         def sum_combine(local_value: int, children: Sequence[int]) -> int:
             return local_value + sum(children)
 
-        endpoint_count = self.tester.executor.broadcast_and_echo(
+        endpoint_count = executor.broadcast_and_echo(
             root=root,
-            local_value=local_count,
+            local_value=kernels.endpoint_count(tree, candidate),
             combine=sum_combine,
             broadcast_bits=2 * id_bits,
             echo_bits=2,

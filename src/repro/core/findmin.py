@@ -104,7 +104,7 @@ class FindMin:
         """
         start = self.accountant.snapshot()
         start_be = self.accountant.broadcast_echoes
-        tree = self.forest.rooted_structure(root)
+        tree = self.tester.kernels.rooted(root)
 
         # Step 2: one B&E for maxWt, maxEdgeNum and B; derive epsilon/p.
         stats = self.tester.tree_statistics(root, tree=tree)

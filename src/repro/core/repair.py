@@ -80,6 +80,7 @@ class TreeRepairer:
         self.mode = mode
         self._findmin = FindMin(graph, forest, self.config, self.accountant)
         self._findany = FindAny(graph, forest, self.config, self.accountant)
+        self.tester = self._findmin.tester
 
     # ------------------------------------------------------------------ #
     # updates
@@ -162,7 +163,7 @@ class TreeRepairer:
         if heaviest.augmented_weight(self.graph.id_bits) > new_edge.augmented_weight(
             self.graph.id_bits
         ):
-            self._findmin.tester.executor.broadcast_only(
+            self.tester.executor.broadcast_only(
                 root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="remove_edge"
             )
             self._charge_edge_message(key)
@@ -202,7 +203,7 @@ class TreeRepairer:
         ):
             # Swap: broadcast the removal of the heaviest path edge, mark the
             # new one.
-            self._findmin.tester.executor.broadcast_only(
+            self.tester.executor.broadcast_only(
                 root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="remove_edge"
             )
             self._charge_edge_message(key)
@@ -239,7 +240,7 @@ class TreeRepairer:
         """Broadcast the replacement over ``T_initiator`` and mark it."""
         component_size = len(self.forest.component_of(initiator))
         if component_size > 1:
-            self._findmin.tester.executor.broadcast_only(
+            self.tester.executor.broadcast_only(
                 root=initiator, broadcast_bits=2 * self.graph.id_bits, kind="add_edge"
             )
         self._charge_edge_message((edge.u, edge.v))
@@ -249,8 +250,8 @@ class TreeRepairer:
         """One B&E over ``T_root``: is ``target`` there, and if so which is the
         heaviest edge on the tree path from ``root`` to ``target``?"""
         id_bits = self.graph.id_bits
-        executor = self._findmin.tester.executor
-        tree = self.forest.rooted_structure(root)
+        executor = self.tester.executor
+        tree = self.tester.kernels.rooted(root)
 
         def propagate(parent_state, parent: int, child: int):
             edge = self.graph.get_edge(parent, child)
@@ -291,7 +292,7 @@ class TreeRepairer:
         return True, answer
 
     def _charge_edge_message(self, key: Tuple[int, int]) -> None:
-        self._findmin.tester.executor.point_to_point_along_edge(
+        self.tester.executor.point_to_point_along_edge(
             key[0], key[1], size_bits=2 * self.graph.id_bits, kind="mark_edge"
         )
 

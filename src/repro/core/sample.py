@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .. import fastpath
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import TreeStructure
 from ..network.fragments import SpanningForest
@@ -71,7 +70,7 @@ class SuperpolyFindMin:
         """Find the minimum-weight edge leaving ``T_root`` (∅ if none)."""
         start = self.accountant.snapshot()
         start_be = self.accountant.broadcast_echoes
-        tree = self.forest.rooted_structure(root)
+        tree = self.tester.kernels.rooted(root)
 
         stats = self.tester.tree_statistics(root, tree=tree)
         if not stats.has_incident_edges:
@@ -163,30 +162,19 @@ class SuperpolyFindMin:
         random subset of the qualifying multiset.  Messages carry ``count``
         weight prefixes, i.e. ``O(w)`` bits, as in the appendix.
         """
-        id_bits = self.graph.id_bits
         # Per-iteration seed so that every node's "local randomness" is drawn
         # from the run's reproducible stream but stays node-local.
         iteration_seed = self._rng.getrandbits(64)
-
-        fast = fastpath.is_enabled()
+        weighted_edges = self.tester.kernels.weighted_edges
 
         def local(node: int) -> List[Tuple[float, int]]:
             node_rng = random.Random((iteration_seed << 20) ^ node)
             offers: List[Tuple[float, int]] = []
-            if fast:
-                arrays = self.graph.incident_arrays(node)
-                for edge, weight in zip(arrays.edges, arrays.augmented):
-                    if self.forest.is_marked(edge.u, edge.v):
-                        continue
-                    if low <= weight <= high:
-                        offers.append((node_rng.random(), weight))
-            else:
-                for edge in self.graph.incident_edges(node):
-                    if self.forest.is_marked(edge.u, edge.v):
-                        continue
-                    weight = edge.augmented_weight(id_bits)
-                    if low <= weight <= high:
-                        offers.append((node_rng.random(), weight))
+            for edge, weight in weighted_edges(node):
+                if self.forest.is_marked(edge.u, edge.v):
+                    continue
+                if low <= weight <= high:
+                    offers.append((node_rng.random(), weight))
             offers.sort()
             return offers[:count]
 

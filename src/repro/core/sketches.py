@@ -1,68 +1,50 @@
-"""Node-local sketch values carried by the echoes of the KKT procedures.
+"""Node-local sketch kernels carried by the echoes of the KKT procedures.
 
 Every procedure in the paper aggregates *node-local* quantities up the tree:
 
-* ``TestOut`` — the parity of the hashed incident-edge set of each node
-  (:func:`local_parity`); parities XOR up the tree, and edges internal to the
-  tree cancel because they are counted at both endpoints.
+* ``TestOut`` / ``FindMin`` — ``w`` parities of an odd hash over the node's
+  incident edges, one per weight sub-range, packed into a single ``w``-bit
+  echo word (:func:`range_parity_word`); words XOR up the tree, and edges
+  internal to the tree cancel because they are counted at both endpoints.
 
-* ``FindAny`` — (i) the prefix-parity vector ``h_i(y)`` = parity of the
-  node's incident edges hashing into ``[2^i]`` (:func:`local_prefix_parities`),
-  and (ii) the XOR of the edge numbers of the incident edges hashing below a
-  chosen prefix (:func:`local_xor_below`); both cancel on internal edges and
+* ``FindAny`` — (i) the prefix-parity word, bit ``i`` being the parity of
+  the node's incident edges hashing into ``[2^i]``
+  (:func:`prefix_parity_word`), and (ii) the XOR of the edge numbers of the
+  incident edges hashing below a chosen prefix
+  (:func:`xor_below_from_numbers`); both cancel on internal edges and
   therefore isolate cut edges.
 
-* ``FindMin`` — ``w`` parities in parallel, one per weight sub-range
-  (:func:`local_range_parities`), packed into a single ``w``-bit echo word.
+Each kernel hashes every incident edge exactly once: all prefix parities
+follow from ``h(e).bit_length()`` (``h(e) < 2^i`` iff ``i >= bitlen(h(e))``,
+so one XOR with a precomputed mask flips every prefix an edge belongs to),
+and the one weight range containing an edge is found by bisection.
 
-These are pure functions of a node's incident edge list plus the broadcast
-parameters, matching the locality contract of the broadcast-and-echo
-executor.
+The **batched** kernels (``*_words_all``, ``hp_products_all``) compute the
+same words for *every node of the graph in one pass* over the flat
+:class:`~repro.network.columnar.ColumnarGraph` columns, instead of one
+kernel call per node per broadcast-and-echo.  Each is word-for-word equal to
+mapping its per-node counterpart over the nodes (pinned by
+``tests/core/test_columnar_kernels.py``), so the choice between them —
+:mod:`repro.core.kernels` makes it per broadcast-and-echo — is
+wall-clock-only.  When numpy is importable (:mod:`repro.accel`) the batched
+kernels vectorise internally — but only where exact: uint64 wrap-around
+multiplication for the odd hash, and the Carter–Wegman hash only when its
+products fit int64; otherwise they run the same stdlib loops.
 
-Each kernel has two implementations:
-
-* the **reference** form (the original names below) — re-hashes every
-  incident edge once per prefix level / weight range, returning parity
-  *lists*;
-* the **one-pass** form (``prefix_parity_word``, ``range_parity_word``,
-  ``xor_below_from_numbers``) — hashes each incident edge exactly once,
-  derives every prefix parity from ``h(e).bit_length()`` (``h(e) < 2^i`` iff
-  ``i ≥ bitlen(h(e))``, so one XOR with a precomputed mask flips all the
-  prefixes an edge belongs to), locates the one weight range containing an
-  edge by bisection, and accumulates everything as single-int parity words.
-
-The two forms are numerically identical (pinned by ``tests/core/
-test_sketches.py``); :mod:`repro.fastpath` decides which one the procedures
-call.
-
-A third tier — the **batched** kernels (``*_words_all``, ``hp_products_all``)
-— computes the same per-node words for *every node of the graph in one pass*
-over the flat :class:`~repro.network.columnar.ColumnarGraph` columns, instead
-of one kernel call per node per broadcast-and-echo.  Each batched kernel is
-word-for-word equal to mapping its per-node counterpart over the nodes
-(pinned by ``tests/core/test_columnar_kernels.py``), so the dispatch decision
-in :func:`repro.fastpath.should_batch` is wall-clock-only.  When numpy is
-importable (:mod:`repro.accel`) the batched kernels vectorise internally —
-but only where exact: uint64 wrap-around multiplication for the odd hash, and
-the Carter–Wegman hash only when its products fit int64; otherwise they run
-the same stdlib loops.
+The straight-line ``local_*`` kernels these are checked against live in
+:mod:`repro.verify.reference`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..accel import numpy_or_none
 from ..network.columnar import ColumnarGraph
-from ..network.graph import Edge, Graph
 from .hashing import OddHashFunction, PairwiseIndependentHash
 
 __all__ = [
-    "local_parity",
-    "local_range_parities",
-    "local_prefix_parities",
-    "local_xor_below",
     "range_parity_word",
     "prefix_parity_word",
     "prefix_flip_masks",
@@ -73,86 +55,17 @@ __all__ = [
     "hp_products_all",
     "ranges_are_disjoint_sorted",
     "xor_combine",
-    "xor_vector_combine",
-    "pack_parity_word",
-    "unpack_parity_word",
 ]
 
 _UINT64_MAX = (1 << 64) - 1
 
 
-def local_parity(
-    edge_numbers: Iterable[int],
-    odd_hash: OddHashFunction,
-) -> int:
-    """Parity (0/1) of the number of given edge numbers hashing to 1."""
-    return odd_hash.parity_of(edge_numbers)
-
-
-def local_range_parities(
-    edges: Sequence[Tuple[int, int]],
-    odd_hash: OddHashFunction,
-    ranges: Sequence[Tuple[int, int]],
-) -> List[int]:
-    """Per-range parities for FindMin's parallel TestOuts.
-
-    ``edges`` is a list of ``(augmented_weight, edge_number)`` pairs for the
-    node's incident edges; ``ranges`` is the list of ``[j_i, k_i]`` intervals
-    (inclusive) being tested in parallel.  The same hash function is reused
-    for every range, exactly as in Section 3.1.
-    """
-    parities = [0] * len(ranges)
-    for weight, edge_number in edges:
-        hashed = odd_hash(edge_number)
-        if not hashed:
-            continue
-        for index, (low, high) in enumerate(ranges):
-            if low <= weight <= high:
-                parities[index] ^= 1
-    return parities
-
-
-def local_prefix_parities(
-    edge_numbers: Iterable[int],
-    pairwise_hash: PairwiseIndependentHash,
-) -> List[int]:
-    """FindAny step 3(b): parity of incident edges hashing into ``[2^i]``.
-
-    Index ``i`` runs from 0 to ``lg r`` inclusive, so the last entry is the
-    parity of *all* incident edges.
-    """
-    log_range = pairwise_hash.log_range
-    parities = [0] * (log_range + 1)
-    for edge_number in edge_numbers:
-        value = pairwise_hash(edge_number)
-        for i in range(log_range + 1):
-            if value < (1 << i):
-                parities[i] ^= 1
-    return parities
-
-
-def local_xor_below(
-    edge_numbers: Iterable[int],
-    pairwise_hash: PairwiseIndependentHash,
-    prefix_exponent: int,
-) -> int:
-    """FindAny step 3(d): XOR of incident edge numbers hashing below ``2^prefix``."""
-    result = 0
-    for edge_number in edge_numbers:
-        if pairwise_hash(edge_number) < (1 << prefix_exponent):
-            result ^= edge_number
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# one-pass fast kernels (see repro.fastpath)
-# ---------------------------------------------------------------------- #
 def ranges_are_disjoint_sorted(ranges: Sequence[Tuple[int, int]]) -> bool:
     """True iff the ranges are sorted ascending and pairwise disjoint.
 
     ``FindMin``'s ``w``-wise splits and ``Sample``'s pivot intervals always
     are; the bisection kernel below requires it (an edge flips exactly one
-    range bit), so callers fall back to the reference kernel otherwise.
+    range bit), so callers answer other range lists one range at a time.
     """
     return all(
         ranges[i][1] < ranges[i + 1][0] for i in range(len(ranges) - 1)
@@ -166,7 +79,7 @@ def range_parity_word(
     lows: Sequence[int],
     highs: Sequence[int],
 ) -> int:
-    """One-pass, word-packed :func:`local_range_parities`.
+    """Per-range parities of ``odd_hash`` over one node's incident edges.
 
     ``weights_sorted`` must be ascending, with ``edge_numbers`` parallel to
     it (the :class:`~repro.network.graph.IncidentArrays` ``aug_sorted`` /
@@ -176,7 +89,9 @@ def range_parity_word(
     tiny fraction of the degree — hashes each exactly once (the
     multiply-threshold test inlined), finds its containing range by a second
     bisection, and accumulates the parities as a single int: bit ``i`` of the
-    result is ``local_range_parities(...)[i]``.
+    result is the parity of the edges hashing to 1 with augmented weight in
+    ``[lows[i], highs[i]]`` (the straight-line form is in
+    :mod:`repro.verify.reference`).
     """
     start = bisect_left(weights_sorted, lows[0])
     stop = bisect_right(weights_sorted, highs[-1], start)
@@ -210,7 +125,7 @@ def prefix_parity_word(
     pairwise_hash: PairwiseIndependentHash,
     masks: Sequence[int],
 ) -> int:
-    """One-pass, word-packed :func:`local_prefix_parities`.
+    """FindAny's prefix-parity word of one node.
 
     Bit ``i`` of the result is the parity of the incident edges hashing into
     ``[2^i]``; ``masks`` comes from :func:`prefix_flip_masks`.  Each edge is
@@ -229,7 +144,7 @@ def xor_below_from_numbers(
     pairwise_hash: PairwiseIndependentHash,
     prefix_exponent: int,
 ) -> int:
-    """:func:`local_xor_below` over a precomputed edge-number array."""
+    """XOR of the edge numbers hashing below ``2^prefix_exponent``."""
     a, b, p = pairwise_hash.a, pairwise_hash.b, pairwise_hash.p
     range_size = pairwise_hash.range_size
     limit = 1 << prefix_exponent
@@ -452,26 +367,3 @@ def xor_combine(local: int, children: Sequence[int]) -> int:
     for value in children:
         result ^= value
     return result
-
-
-def xor_vector_combine(local: Sequence[int], children: Sequence[Sequence[int]]) -> List[int]:
-    """Componentwise XOR of equal-length vectors (local plus children)."""
-    result = list(local)
-    for vector in children:
-        for index, value in enumerate(vector):
-            result[index] ^= value
-    return result
-
-
-def pack_parity_word(parities: Sequence[int]) -> int:
-    """Pack a list of single-bit parities into one word (bit i = parity i)."""
-    word = 0
-    for index, bit in enumerate(parities):
-        if bit:
-            word |= 1 << index
-    return word
-
-
-def unpack_parity_word(word: int, width: int) -> List[int]:
-    """Inverse of :func:`pack_parity_word`."""
-    return [(word >> index) & 1 for index in range(width)]

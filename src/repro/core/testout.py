@@ -27,12 +27,9 @@ which is exactly the paper's device for making weights distinct.
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .. import fastpath
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import BroadcastEchoExecutor, TreeStructure
 from ..network.errors import AlgorithmError
@@ -42,15 +39,7 @@ from .config import AlgorithmConfig
 from .hashing import OddHashFunction, random_odd_hash
 from .polynomial import SetEqualitySketch
 from .primes import prime_for_field
-from .sketches import (
-    hp_products_all,
-    local_range_parities,
-    pack_parity_word,
-    range_parity_word,
-    range_parity_words_all,
-    ranges_are_disjoint_sorted,
-    unpack_parity_word,
-)
+from .sketches import xor_combine
 
 __all__ = ["TreeStatistics", "CutTester"]
 
@@ -76,7 +65,13 @@ class TreeStatistics:
 
 
 class CutTester:
-    """TestOut / HP-TestOut over the maintained forest of a graph."""
+    """TestOut / HP-TestOut over the maintained forest of a graph.
+
+    The tester owns the run's node-local kernels (``config.kernels``, see
+    :mod:`repro.core.kernels`) and its broadcast-and-echo executor, which
+    delivers over ``config.substrate``; the search procedures reach both
+    through their tester.
+    """
 
     def __init__(
         self,
@@ -89,18 +84,14 @@ class CutTester:
         self.forest = forest
         self.config = config
         self.accountant = accountant if accountant is not None else MessageAccountant()
-        self.executor = BroadcastEchoExecutor(graph, forest, self.accountant)
-
-    def _batch_columnar(self, tree: Optional[TreeStructure]):
-        """The graph's columnar snapshot when batching pays off, else ``None``.
-
-        Wall-clock dispatch only (see :func:`repro.fastpath.should_batch`):
-        whichever branch runs, the per-node values — and therefore every
-        counter — are identical.
-        """
-        if tree is not None and fastpath.should_batch(tree.size, self.graph.num_nodes):
-            return self.graph.columnar()
-        return None
+        self.kernels = config.kernels(graph, forest)
+        self.executor = BroadcastEchoExecutor(
+            graph,
+            forest,
+            self.accountant,
+            substrate=config.substrate,
+            rooted=self.kernels.rooted,
+        )
 
     # ------------------------------------------------------------------ #
     # statistics (FindMin step 2 / HP-TestOut step 0)
@@ -110,42 +101,6 @@ class CutTester:
     ) -> TreeStatistics:
         """One broadcast-and-echo computing size, maxEdgeNum, maxWt and B."""
         id_bits = self.graph.id_bits
-        cols = self._batch_columnar(tree)
-
-        if cols is not None:
-            # O(1) per node: the maxima and degrees are columns of the
-            # snapshot, no per-node arrays to materialise.
-            pos = cols.pos
-            indptr = cols.indptr
-            node_max_number = cols.node_max_number
-            node_max_augmented = cols.node_max_augmented
-
-            def local(node: int) -> Tuple[int, int, int, int]:
-                row = pos[node]
-                return (
-                    1,
-                    node_max_number[row],
-                    node_max_augmented[row],
-                    indptr[row + 1] - indptr[row],
-                )
-
-        elif fastpath.is_enabled():
-
-            def local(node: int) -> Tuple[int, int, int, int]:
-                arrays = self.graph.incident_arrays(node)
-                return (1, arrays.max_number, arrays.max_augmented, len(arrays.numbers))
-
-        else:
-
-            def local(node: int) -> Tuple[int, int, int, int]:
-                edges = self.graph.incident_edges(node)
-                max_edge_number = max(
-                    (e.edge_number(id_bits) for e in edges), default=0
-                )
-                max_augmented = max(
-                    (e.augmented_weight(id_bits) for e in edges), default=0
-                )
-                return (1, max_edge_number, max_augmented, len(edges))
 
         def combine(local_value, children):
             size, max_en, max_aw, endpoints = local_value
@@ -156,15 +111,11 @@ class CutTester:
                 endpoints += child[3]
             return (size, max_en, max_aw, endpoints)
 
-        max_weight = (
-            self.graph.cached_maxima()[1]
-            if fastpath.is_enabled()
-            else self.graph.max_weight()
-        )
+        max_weight = self.kernels.max_weight()
         payload_bits = max(8, 2 * id_bits + max_weight.bit_length() + 4)
         size, max_en, max_aw, endpoints = self.executor.broadcast_and_echo(
             root=root,
-            local_value=local,
+            local_value=self.kernels.statistics(tree),
             combine=combine,
             broadcast_bits=8,
             echo_bits=payload_bits,
@@ -241,44 +192,6 @@ class CutTester:
             for (low, high) in ranges
         ]
 
-        if fastpath.is_enabled() and ranges_are_disjoint_sorted(resolved_ranges):
-            # One-pass kernel: hash each incident edge once, locate its
-            # weight range by bisection, accumulate a single parity word.
-            lows = [low for low, _ in resolved_ranges]
-            highs = [high for _, high in resolved_ranges]
-            cols = self._batch_columnar(tree)
-
-            if cols is not None:
-                words = range_parity_words_all(cols, hash_fn, lows, highs)
-                pos = cols.pos
-
-                def local(node: int) -> int:
-                    return words[pos[node]]
-
-            else:
-
-                def local(node: int) -> int:
-                    arrays = self.graph.incident_arrays(node)
-                    return range_parity_word(
-                        arrays.aug_sorted, arrays.numbers_by_aug, hash_fn, lows, highs
-                    )
-
-        else:
-
-            def local(node: int) -> int:
-                incident = [
-                    (e.augmented_weight(id_bits), e.edge_number(id_bits))
-                    for e in self.graph.incident_edges(node)
-                ]
-                parities = local_range_parities(incident, hash_fn, resolved_ranges)
-                return pack_parity_word(parities)
-
-        def combine(local_value: int, children: Sequence[int]) -> int:
-            word = local_value
-            for child in children:
-                word ^= child
-            return word
-
         range_bits = 2 * max(
             (high.bit_length() for _, high in resolved_ranges if high), default=1
         )
@@ -286,8 +199,8 @@ class CutTester:
         echo_bits = len(ranges)
         return self.executor.broadcast_and_echo(
             root=root,
-            local_value=local,
-            combine=combine,
+            local_value=self.kernels.range_parity(tree, hash_fn, resolved_ranges),
+            combine=xor_combine,
             broadcast_bits=broadcast_bits,
             echo_bits=echo_bits,
             tree=tree,
@@ -332,60 +245,13 @@ class CutTester:
         low_bound = low if low is not None else 0
         high_bound = high if high is not None else (1 << 256)
 
-        cols = self._batch_columnar(tree)
-        if cols is not None:
-            products = hp_products_all(cols, alpha, p, low_bound, high_bound)
-            pos = cols.pos
-
-            def local(node: int) -> SetEqualitySketch:
-                up_product, down_product = products[pos[node]]
-                return SetEqualitySketch(up_product, down_product, alpha, p)
-
-        elif fastpath.is_enabled():
-
-            def local(node: int) -> SetEqualitySketch:
-                # Bisect to the incident edges inside the weight window and
-                # fold their (alpha - #e) factors directly; multiplication
-                # mod p is commutative, so the re-sorted order is harmless.
-                arrays = self.graph.incident_arrays(node)
-                weights = arrays.aug_sorted
-                start = bisect_left(weights, low_bound)
-                stop = bisect_right(weights, high_bound, start)
-                up_product = down_product = 1
-                for number, is_up in zip(
-                    arrays.numbers_by_aug[start:stop], arrays.up_by_aug[start:stop]
-                ):
-                    if is_up:
-                        up_product = (up_product * (alpha - number)) % p
-                    else:
-                        down_product = (down_product * (alpha - number)) % p
-                return SetEqualitySketch(up_product, down_product, alpha, p)
-
-        else:
-
-            def local(node: int) -> SetEqualitySketch:
-                up_numbers = []
-                down_numbers = []
-                for edge in self.graph.incident_edges(node):
-                    weight = edge.augmented_weight(id_bits)
-                    if not (low_bound <= weight <= high_bound):
-                        continue
-                    number = edge.edge_number(id_bits)
-                    if node == edge.u:
-                        up_numbers.append(number)
-                    else:
-                        down_numbers.append(number)
-                return SetEqualitySketch.from_local_edges(
-                    up_numbers, down_numbers, alpha, p
-                )
-
         def combine(local_value: SetEqualitySketch, children) -> SetEqualitySketch:
             return local_value.combine(list(children))
 
         payload_bits = 2 * p.bit_length()
         sketch = self.executor.broadcast_and_echo(
             root=root,
-            local_value=local,
+            local_value=self.kernels.hp_sketch(tree, alpha, p, low_bound, high_bound),
             combine=combine,
             broadcast_bits=p.bit_length() + min(4 * id_bits + 64, 256),
             echo_bits=payload_bits,

@@ -28,8 +28,9 @@ Shipped oracles
     final forest — the batched-repair equality contract.
 ``fastpath``
     A deterministically chosen sample of algorithms is re-run under
-    :func:`repro.fastpath.reference_path`; messages/bits/rounds/phases and
-    all checks must be bit-identical to the fast-path run.
+    :func:`repro.verify.reference.reference_path` (the straight-line
+    reference kernels); messages/bits/rounds/phases and all checks must be
+    bit-identical to the production run.
 ``determinism``
     Every algorithm is re-run in-process and must reproduce the identical
     result payload (wall time aside); on cases flagged by the campaign the
@@ -61,7 +62,6 @@ from ..api import (
     get_runner,
     list_algorithms,
 )
-from ..fastpath import reference_path
 from ..network.errors import AlgorithmError, ForestError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
@@ -71,6 +71,7 @@ from ..verify import (
     is_minimum_weight_forest,
     mst_difference,
 )
+from ..verify.reference import reference_path
 
 __all__ = [
     "Violation",
@@ -447,7 +448,7 @@ class DifferentialOracle:
 
 
 class FastpathOracle:
-    """Fast-path counters must be bit-identical to the reference path."""
+    """Production-kernel counters must be bit-identical to the reference kernels."""
 
     name = "fastpath"
 

@@ -32,7 +32,7 @@ from .faults import FaultEvent, FaultInjector
 from .fragments import SpanningForest
 from .graph import Edge, Graph, IncidentArrays, edge_key
 from .kernel import EventKernel, EventSynchrony, RoundSynchrony, SynchronyModel
-from .tree_cache import TreeStructureCache, rooted_tree
+from .tree_cache import TreeStructureCache
 from .leader_election import ElectionResult, detect_cycle, elect_leader
 from .message import Message, message_bits_for_value
 from .node import ProtocolNode
@@ -87,7 +87,6 @@ __all__ = [
     "TreeStructureCache",
     "build_tree_structure",
     "detect_cycle",
-    "rooted_tree",
     "edge_key",
     "elect_leader",
     "list_schedulers",

@@ -5,38 +5,39 @@ broadcast from a root node ``x`` over the maintained tree followed by an echo
 that aggregates values from the leaves back up to ``x``.  Two realisations
 are provided:
 
-* :class:`BroadcastEchoExecutor` — the *fast path* used by all algorithms in
-  :mod:`repro.core`.  It walks the tree structure directly and charges the
-  accountant exactly the messages a per-node execution would send: one
-  broadcast message and one echo message per tree edge, with the declared bit
-  widths, and ``2 × eccentricity(root)`` rounds.  Local computation is
-  restricted to the node-local callback it is given (a node sees only its own
-  ID, its incident edges and the broadcast payload), so the distributed
-  semantics are preserved even though the execution is centralised.
+* :class:`BroadcastEchoExecutor` — the centralised executor used by all
+  algorithms in :mod:`repro.core`.  It walks the tree structure directly
+  and charges the accountant exactly the messages a per-node execution
+  would send: one broadcast message and one echo message per tree edge,
+  with the declared bit widths, and ``2 × eccentricity(root)`` rounds.
+  Local computation is restricted to the node-local callback it is given (a
+  node sees only its own ID, its incident edges and the broadcast payload),
+  so the distributed semantics are preserved even though the execution is
+  centralised.
 
 * :class:`BroadcastEchoProtocolNode` — a genuine per-node protocol for the
   message-level engines.  Tests run the same aggregation through both paths
   and assert that message counts, bit counts and results agree
   (``tests/network/test_broadcast.py``); this is what justifies using the
-  fast path for the large benchmark runs.
+  executor for the large benchmark runs.
 
 Both realisations assume reliable point-to-point delivery.  That assumption
 is itself pluggable: a registered :class:`DeliverySubstrate` (see
-:func:`register_substrate` / :func:`delivery_substrate`) replaces each
-logical tree-hop message with a hardened delivery protocol — the Bracha
-reliable-broadcast substrate of :mod:`repro.byzantine` being the shipped
-example — and charges its messages, bits and rounds through the same
-accountant.  The plain substrate is the historical direct send and keeps
-every counter bit-identical.
+:func:`register_substrate` / :func:`make_substrate`) handed to an executor
+replaces each logical tree-hop message with a hardened delivery protocol —
+the Bracha reliable-broadcast substrate of :mod:`repro.byzantine` being the
+shipped example — and charges its messages, bits and rounds through the same
+accountant.  A run picks its substrate once, in its
+:class:`~repro.core.config.AlgorithmConfig`; there is no process-wide
+default.  The plain substrate (``None``) is the historical direct send and
+keeps every counter bit-identical.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .. import fastpath
 from .accounting import MessageAccountant
 from .errors import ProtocolError, SimulationError
 from .fragments import SpanningForest
@@ -55,8 +56,6 @@ __all__ = [
     "register_substrate",
     "list_substrates",
     "make_substrate",
-    "delivery_substrate",
-    "active_substrate",
 ]
 
 # A node-local value callback: (node_id) -> value.  The callback must only use
@@ -71,8 +70,7 @@ CombineFn = Callable[[Any, Sequence[Any]], Any]
 class TreeStructure:
     """Rooted view of one maintained tree: parents, children, depths.
 
-    On the fast path (see :mod:`repro.fastpath`) structures live across many
-    broadcast-and-echoes via the
+    Structures live across many broadcast-and-echoes via the
     :class:`~repro.network.tree_cache.TreeStructureCache`, so the traversal
     orders and the eccentricity are memoised; the cache calls
     :meth:`invalidate_orders` whenever it patches the structure.
@@ -110,10 +108,8 @@ class TreeStructure:
         """Depth of the deepest node (the root's eccentricity in the tree)."""
         if self._eccentricity is not None:
             return self._eccentricity
-        value = max(self.depth.values(), default=0)
-        if fastpath.is_enabled():
-            self._eccentricity = value
-        return value
+        self._eccentricity = max(self.depth.values(), default=0)
+        return self._eccentricity
 
     def invalidate_orders(self) -> None:
         """Forget memoised traversals after the structure was patched."""
@@ -124,8 +120,7 @@ class TreeStructure:
     def postorder(self) -> List[int]:
         """Nodes in post-order (children before parents), deterministic.
 
-        The returned list is memoised on the fast path — treat it as
-        read-only.
+        The returned list is memoised — treat it as read-only.
         """
         if self._postorder is not None:
             return self._postorder
@@ -139,8 +134,7 @@ class TreeStructure:
             stack.append((node, True))
             for child in reversed(self.children[node]):
                 stack.append((child, False))
-        if fastpath.is_enabled():
-            self._postorder = order
+        self._postorder = order
         return order
 
     def preorder(self) -> List[int]:
@@ -148,8 +142,7 @@ class TreeStructure:
 
         Used by :meth:`BroadcastEchoExecutor.broadcast_with_downward_state`
         for the downward sweep instead of reversing a fresh post-order copy.
-        The returned list is memoised on the fast path — treat it as
-        read-only.
+        The returned list is memoised — treat it as read-only.
         """
         if self._preorder is not None:
             return self._preorder
@@ -160,8 +153,7 @@ class TreeStructure:
             order.append(node)
             for child in reversed(self.children[node]):
                 stack.append(child)
-        if fastpath.is_enabled():
-            self._preorder = order
+        self._preorder = order
         return order
 
     def path_from_root(self, node: int) -> List[int]:
@@ -263,9 +255,6 @@ SubstrateBuilder = Callable[..., Optional[DeliverySubstrate]]
 
 _SUBSTRATES: Dict[str, SubstrateBuilder] = {}
 
-#: The process-wide default substrate installed by :func:`delivery_substrate`.
-_ACTIVE_SUBSTRATE: Optional[DeliverySubstrate] = None
-
 
 def register_substrate(name: str) -> Callable[[SubstrateBuilder], SubstrateBuilder]:
     """Function decorator: publish a delivery-substrate builder under ``name``.
@@ -311,35 +300,12 @@ def _plain_substrate(**_params: Any) -> None:
     return None
 
 
-@contextmanager
-def delivery_substrate(substrate: Optional[DeliverySubstrate]) -> Iterator[None]:
-    """Install ``substrate`` as the process-wide default for the block.
-
-    Executors constructed without an explicit ``substrate`` consult the
-    active default at charge time, so a whole algorithm run — including the
-    executors it builds internally — can be hardened by wrapping it here.
-    ``None`` (the plain substrate) makes the block a no-op.
-    """
-    global _ACTIVE_SUBSTRATE
-    previous = _ACTIVE_SUBSTRATE
-    _ACTIVE_SUBSTRATE = substrate
-    try:
-        yield
-    finally:
-        _ACTIVE_SUBSTRATE = previous
-
-
-def active_substrate() -> Optional[DeliverySubstrate]:
-    """The process-wide default substrate (``None`` = plain delivery)."""
-    return _ACTIVE_SUBSTRATE
-
-
 class BroadcastEchoExecutor:
-    """Fast-path broadcast-and-echo with exact CONGEST accounting.
+    """Centralised broadcast-and-echo with exact CONGEST accounting.
 
-    ``substrate`` optionally names how each logical tree-hop message is
-    realised on the wire (default: the plain direct send, or whatever
-    :func:`delivery_substrate` installed for the surrounding block).
+    ``substrate`` names how each logical tree-hop message is realised on the
+    wire (``None``: the plain direct send).  ``rooted`` roots a tree for a
+    call made without one (default: the forest's cached structures).
     """
 
     def __init__(
@@ -348,14 +314,13 @@ class BroadcastEchoExecutor:
         forest: SpanningForest,
         accountant: MessageAccountant,
         substrate: Optional[DeliverySubstrate] = None,
+        rooted: Optional[Callable[[int], TreeStructure]] = None,
     ):
         self.graph = graph
         self.forest = forest
         self.accountant = accountant
         self.substrate = substrate
-
-    def _substrate(self) -> Optional[DeliverySubstrate]:
-        return self.substrate if self.substrate is not None else _ACTIVE_SUBSTRATE
+        self.rooted = rooted if rooted is not None else forest.rooted_structure
 
     # ------------------------------------------------------------------ #
     # primitives
@@ -376,7 +341,7 @@ class BroadcastEchoExecutor:
         ``num_edges`` echo messages of ``echo_bits`` bits, and
         ``2 × eccentricity`` rounds (the paper's time for one B&E).
         """
-        structure = tree if tree is not None else self.forest.rooted_structure(root)
+        structure = tree if tree is not None else self.rooted(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
         values: Dict[int, Any] = {}
         for node in structure.postorder():
@@ -392,8 +357,8 @@ class BroadcastEchoExecutor:
         kind: str = "bcast",
     ) -> TreeStructure:
         """A broadcast with no echo (e.g. "stop", "add edge", leader announce)."""
-        structure = tree if tree is not None else self.forest.rooted_structure(root)
-        substrate = self._substrate()
+        structure = tree if tree is not None else self.rooted(root)
+        substrate = self.substrate
         if substrate is None:
             self.accountant.record_messages(structure.num_edges, broadcast_bits, kind=kind)
             self.accountant.record_rounds(structure.eccentricity)
@@ -427,7 +392,7 @@ class BroadcastEchoExecutor:
         state)`` produces the node's local echo value, which is aggregated
         with ``combine`` as usual.
         """
-        structure = tree if tree is not None else self.forest.rooted_structure(root)
+        structure = tree if tree is not None else self.rooted(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
         state: Dict[int, Any] = {structure.root: initial_state}
         for node in structure.preorder():  # parents first
@@ -443,7 +408,7 @@ class BroadcastEchoExecutor:
         """Charge a single message over the (graph) edge ``{u, v}``."""
         if not self.graph.has_edge(u, v):
             raise ProtocolError(f"no edge ({u}, {v}) to send along")
-        substrate = self._substrate()
+        substrate = self.substrate
         if substrate is None:
             self.accountant.record_message(size_bits, kind=kind)
             self.accountant.record_rounds(1)
@@ -459,7 +424,7 @@ class BroadcastEchoExecutor:
     ) -> None:
         self.accountant.record_broadcast_echo()
         edges = structure.num_edges
-        substrate = self._substrate()
+        substrate = self.substrate
         if substrate is None:
             self.accountant.record_messages(edges, broadcast_bits, kind=f"{kind}:bcast")
             self.accountant.record_messages(edges, echo_bits, kind=f"{kind}:echo")

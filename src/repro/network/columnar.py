@@ -1,6 +1,6 @@
 """Flat columnar incidence storage for whole-graph sketch passes.
 
-The per-node fast path caches an :class:`~repro.network.graph.IncidentArrays`
+The per-node kernels cache an :class:`~repro.network.graph.IncidentArrays`
 tuple per node — a dict of Python tuples that is rebuilt lazily after every
 mutation and walked once per node per broadcast-and-echo.  At n ≥ 10^4 the
 dict churn and per-node bisections dominate the simulator's profile.  This
@@ -37,9 +37,24 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..accel import numpy_or_none
 from .errors import GraphError
 
-__all__ = ["ColumnarGraph"]
+__all__ = ["BATCH_MIN_NODES", "ColumnarGraph", "should_batch"]
 
 _UINT64_MAX = (1 << 64) - 1
+
+#: Below this tree size a whole-graph pass over the columns is not worth its
+#: setup, and per-node kernels run instead.
+BATCH_MIN_NODES = 64
+
+
+def should_batch(tree_size: int, graph_nodes: int) -> bool:
+    """Whether work over a tree should take one pass over the whole graph.
+
+    A batched pass computes a value for *every* graph node, which only pays
+    off when the tree is both large (:data:`BATCH_MIN_NODES`) and covers at
+    least half the graph.  Wall-clock only: the batched and per-node forms
+    are value-identical, so counters never depend on the answer.
+    """
+    return tree_size >= BATCH_MIN_NODES and 2 * tree_size >= graph_nodes
 
 
 def _freeze(values: List[int], fits64: bool) -> Sequence[int]:

@@ -15,7 +15,6 @@ the only state that persists between updates.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import insort
 from collections import deque
@@ -42,21 +41,11 @@ __all__ = ["SpanningForest"]
 
 #: How many mutations the journal retains by default.  A structure cached
 #: longer ago than this many mutations is rebuilt instead of patched.
-#: Override per process with ``REPRO_JOURNAL_LIMIT``, or per forest with the
-#: ``journal_limit`` constructor argument; the
+#: Override per forest with the ``journal_limit`` constructor argument; the
 #: :meth:`~repro.network.tree_cache.TreeStructureCache.stats` hook reports
 #: how often an overrun forced a rebuild, so large-n runs can tune this
 #: instead of silently paying full BFS rebuilds.
 _JOURNAL_LIMIT = 1024
-
-
-def default_journal_limit() -> int:
-    """The journal bound from ``REPRO_JOURNAL_LIMIT`` (default 1024)."""
-    try:
-        value = int(os.environ.get("REPRO_JOURNAL_LIMIT", _JOURNAL_LIMIT))
-    except ValueError:
-        return _JOURNAL_LIMIT
-    return max(value, 1)
 
 
 class SpanningForest:
@@ -83,7 +72,7 @@ class SpanningForest:
         self._version = 0
         self._journal: deque = deque()
         self._journal_limit = (
-            max(journal_limit, 1) if journal_limit is not None else default_journal_limit()
+            max(journal_limit, 1) if journal_limit is not None else _JOURNAL_LIMIT
         )
         self._structures: Optional["TreeStructureCache"] = None
         self._marked_csr: Optional[Tuple[int, List[int], Dict[int, int], "array[int]", List[int]]] = None
@@ -201,16 +190,13 @@ class SpanningForest:
         return self._structures
 
     def rooted_structure(self, root: int) -> "TreeStructure":
-        """Rooted view of ``T_root`` — cached on the fast path.
+        """Rooted view of ``T_root``, cached and incrementally patched.
 
-        With the fast path enabled (see :mod:`repro.fastpath`) this reuses
-        and incrementally patches a cached :class:`TreeStructure`; otherwise
-        it rebuilds from scratch, exactly like
-        :func:`~repro.network.broadcast.build_tree_structure`.
+        Identical to a fresh
+        :func:`~repro.network.broadcast.build_tree_structure` (see
+        :mod:`repro.network.tree_cache`).
         """
-        from .tree_cache import rooted_tree
-
-        return rooted_tree(self, root)
+        return self.structures.get(root)
 
     # ------------------------------------------------------------------ #
     # node-local views (what a processor is allowed to know)

@@ -81,7 +81,7 @@ class Edge:
 
 
 class IncidentArrays(NamedTuple):
-    """Precomputed node-local sketch inputs for one node (fast path).
+    """Precomputed node-local sketch inputs for one node (per-node kernels).
 
     The sketch kernels consume, for every incident edge of a node, its edge
     number, its augmented weight and its orientation (whether the node is the
@@ -312,7 +312,7 @@ class Graph:
         )
 
     # ------------------------------------------------------------------ #
-    # fast-path caches (version-stamped; see repro.fastpath)
+    # node-local caches (version-stamped; see repro.core.kernels)
     # ------------------------------------------------------------------ #
     def _note_mutation(self, *touched: int) -> None:
         """Keep the incident cache current by evicting only touched nodes.

@@ -22,10 +22,10 @@ and brings a stale one up to date by replaying the forest's mutation journal
 Because a tree has unique paths, the patched structure is *identical* (same
 parents, sorted children lists, depths) to what a fresh BFS from the root
 would produce, so counters derived from it (edge count, eccentricity) are
-bit-for-bit the same as on the reference path.
-
-:func:`rooted_tree` is the front door: it returns a cached structure on the
-fast path and a fresh rebuild when :mod:`repro.fastpath` is disabled.
+bit-for-bit the same as with the reference kernels of
+:mod:`repro.verify.reference`, which root every call from scratch.
+Production code reaches the cache through
+:meth:`~repro.network.fragments.SpanningForest.rooted_structure`.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from bisect import insort
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional
 
-from .. import fastpath
 from .broadcast import TreeStructure, build_tree_structure, build_tree_structure_csr
+from .columnar import should_batch
 from .fragments import SpanningForest
 
-__all__ = ["TreeStructureCache", "rooted_tree"]
+__all__ = ["TreeStructureCache"]
 
 
 class _Entry:
@@ -97,7 +97,7 @@ class TreeStructureCache:
         per-node path and skip the whole-graph CSR snapshot.
         """
         forest = self.forest
-        if fastpath.should_batch(forest.num_marked + 1, forest.graph.num_nodes):
+        if should_batch(forest.num_marked + 1, forest.graph.num_nodes):
             return build_tree_structure_csr(forest, root)
         return build_tree_structure(forest, root)
 
@@ -110,9 +110,9 @@ class TreeStructureCache:
 
         ``journal_overruns`` counts patch attempts abandoned because the
         forest's bounded journal no longer reached back to the cached
-        version — persistent overruns mean ``REPRO_JOURNAL_LIMIT`` (or the
-        forest's ``journal_limit``) is too small for the workload and every
-        such lookup paid a full rebuild.
+        version — persistent overruns mean the forest's ``journal_limit`` is
+        too small for the workload and every such lookup paid a full
+        rebuild.
         """
         return {
             "hits": self.hits,
@@ -233,10 +233,3 @@ class TreeStructureCache:
                 if nbr in parent:
                     return None
         return True
-
-
-def rooted_tree(forest: SpanningForest, root: int) -> TreeStructure:
-    """Rooted structure of ``T_root``: cached fast path, rebuilt otherwise."""
-    if not fastpath.is_enabled():
-        return build_tree_structure(forest, root)
-    return forest.structures.get(root)

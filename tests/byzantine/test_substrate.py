@@ -8,9 +8,11 @@ from repro.byzantine import (
     default_resilience,
     run_bracha_broadcast,
 )
+from repro.core.config import AlgorithmConfig
+from repro.core.testout import CutTester
+from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.accounting import MessageAccountant
 from repro.network.broadcast import (
-    delivery_substrate,
     list_substrates,
     make_substrate,
     register_substrate,
@@ -107,14 +109,12 @@ class TestHardenedRuns:
         assert hardened.messages > plain.messages
         assert hardened.extra["substrate"] == "bracha"
 
-    def test_delivery_substrate_context_restores_the_previous_default(self):
-        from repro.network.broadcast import active_substrate
-
+    def test_config_substrate_reaches_the_executor(self):
+        graph = random_connected_graph(8, 12, seed=1)
+        forest = random_spanning_tree_forest(graph, seed=2)
         substrate = make_substrate("bracha", n=4)
-        assert active_substrate() is None
-        with delivery_substrate(substrate):
-            assert active_substrate() is substrate
-            with delivery_substrate(None):
-                assert active_substrate() is None
-            assert active_substrate() is substrate
-        assert active_substrate() is None
+        config = AlgorithmConfig(n=graph.num_nodes, seed=0, substrate=substrate)
+        tester = CutTester(graph, forest, config, MessageAccountant())
+        assert tester.executor.substrate is substrate
+        plain = CutTester(graph, forest, AlgorithmConfig(n=graph.num_nodes, seed=0))
+        assert plain.executor.substrate is None

@@ -1,6 +1,7 @@
 """Batched columnar kernels == per-node kernels, word for word.
 
-The dispatch in :func:`repro.fastpath.should_batch` is wall-clock-only, so
+The dispatch in :func:`repro.network.columnar.should_batch` is
+wall-clock-only, so
 every batched kernel (``*_words_all``, ``hp_products_all``) must return, for
 every node of the graph, exactly the word its per-node counterpart computes
 from that node's :class:`IncidentArrays` — over random graphs, random seeds,

@@ -6,19 +6,20 @@ import pytest
 
 from repro.core.hashing import random_odd_hash, random_pairwise_hash
 from repro.core.sketches import (
+    prefix_flip_masks,
+    prefix_parity_word,
+    range_parity_word,
+    ranges_are_disjoint_sorted,
+    xor_below_from_numbers,
+    xor_combine,
+)
+from repro.verify.reference import (
     local_parity,
     local_prefix_parities,
     local_range_parities,
     local_xor_below,
     pack_parity_word,
-    prefix_flip_masks,
-    prefix_parity_word,
-    range_parity_word,
-    ranges_are_disjoint_sorted,
     unpack_parity_word,
-    xor_below_from_numbers,
-    xor_combine,
-    xor_vector_combine,
 )
 
 
@@ -41,14 +42,6 @@ class TestCombiners:
 
     def test_xor_combine_no_children(self):
         assert xor_combine(7, []) == 7
-
-    def test_xor_vector_combine(self):
-        local = [1, 0, 1]
-        children = [[1, 1, 0], [0, 1, 1]]
-        assert xor_vector_combine(local, children) == [0, 0, 0]
-
-    def test_xor_vector_combine_preserves_length(self):
-        assert xor_vector_combine([0, 1], []) == [0, 1]
 
 
 class TestLocalParity:

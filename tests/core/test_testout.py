@@ -1,12 +1,17 @@
 """Tests for TestOut / HP-TestOut (Lemma 1 and Section 2 semantics)."""
 
+import random
+
 import pytest
 
+import repro.network.columnar as columnar
 from repro.core.config import AlgorithmConfig
+from repro.core.hashing import random_odd_hash
 from repro.core.testout import CutTester
 from repro.network.accounting import MessageAccountant
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
+from repro.verify.reference import reference_path
 
 #: The two crossing edges these tests reason about ((3,4) light, (1,6) heavy);
 #: the shared ``two_fragment_graph`` fixture builds the rest.
@@ -89,15 +94,31 @@ class TestTestOut:
         per_kind = acct.per_kind()
         assert per_kind.get("testout:echo") == 2
 
-    def test_word_tests_multiple_ranges_in_one_broadcast_echo(self, two_fragment_graph):
+    def test_word_tests_multiple_ranges_in_one_broadcast_echo(
+        self, two_fragment_graph, monkeypatch
+    ):
+        # Unsorted, overlapping ranges: each is answered by its own one-pass
+        # word, which must equal the reference kernels bit for bit, both per
+        # node (no tree given) and batched (a tree above the threshold).
+        monkeypatch.setattr(columnar, "BATCH_MIN_NODES", 2)
         graph, forest = two_fragment_graph(CUT_EDGES)
+        light = graph.augmented_weight(3, 4)
+        heavy = graph.augmented_weight(1, 6)
+        ranges = [(None, None), (light, heavy), (0, light), (11, 10 ** 6)]
         tester, acct = _tester(graph, forest, seed=5)
-        ranges = [(0, 10), (11, 10 ** 6), (None, None)]
-        before = acct.snapshot()
-        word = tester.test_out_word(1, ranges=ranges)
-        delta = acct.since(before)
-        assert delta.broadcast_echoes == 1
-        assert 0 <= word < 2 ** len(ranges)
+        with reference_path():
+            reference, _ = _tester(graph, forest, seed=5)
+        words = set()
+        for seed in range(24):
+            odd_hash = random_odd_hash(graph.max_edge_number(), random.Random(seed))
+            expected = reference.test_out_word(1, ranges=ranges, odd_hash=odd_hash)
+            for tree in (None, tester.kernels.rooted(1)):
+                before = acct.snapshot()
+                word = tester.test_out_word(1, ranges=ranges, odd_hash=odd_hash, tree=tree)
+                assert acct.since(before).broadcast_echoes == 1
+                assert word == expected
+            words.add(expected)
+        assert len(words) > 1
 
     def test_singleton_tree_with_incident_edges(self, two_fragment_graph):
         graph, forest = two_fragment_graph(CUT_EDGES)

@@ -1,18 +1,20 @@
-"""Equivalence suite: fast path counters == reference path counters.
+"""Equivalence suite: production kernel counters == reference kernel counters.
 
-The fast-path machinery (cached tree structures, one-pass word-batched
-sketch kernels, per-node incident arrays) must be *observably invisible*:
-for every registered algorithm, every density profile and every seed, the
-messages / bits / rounds / phases reported by a run with the fast path on
-must be bit-identical to a run with the reference implementations.  This is
-the contract ``repro bench`` relies on when it reports speedups.
+The production kernels (:mod:`repro.core.kernels`: cached tree structures,
+one-pass and batched columnar sketch kernels, per-node incident arrays) must
+be *observably invisible*: for every registered algorithm, every density
+profile and every seed, the messages / bits / rounds / phases reported by a
+production run must be bit-identical to a run with the straight-line kernels
+of :mod:`repro.verify.reference`.  This is the contract ``repro bench``
+relies on when it reports speedups.
 """
 
 import pytest
 
-from repro import fastpath
+import repro.network.columnar as columnar
 from repro.api import FaultSpec, GraphSpec, get_runner, list_algorithms
 from repro.api.scenario import ExperimentSpec, ScheduleSpec, WorkloadSpec
+from repro.verify.reference import reference_path
 
 ALGORITHMS = list_algorithms()
 DENSITIES = ["sparse", "dense"]
@@ -40,6 +42,15 @@ def _run(algorithm, spec, **options):
     return _counters(get_runner(algorithm).run(spec, **options))
 
 
+def _assert_equivalent(algorithm, spec, **options):
+    """Run on both kernel tiers; the counters must match exactly."""
+    with reference_path():
+        reference = _run(algorithm, spec, **options)
+    fast = _run(algorithm, spec, **options)
+    assert fast == reference
+    return fast
+
+
 def test_all_six_algorithms_are_covered():
     assert ALGORITHMS == [
         "flooding",
@@ -56,11 +67,18 @@ def test_all_six_algorithms_are_covered():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_counters_bit_identical(algorithm, density, seed):
     spec = GraphSpec(nodes=NODES, density=density, seed=seed)
-    with fastpath.reference_path():
-        reference = _run(algorithm, spec)
-    with fastpath.fast_path():
-        fast = _run(algorithm, spec)
-    assert fast == reference
+    _assert_equivalent(algorithm, spec)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("algorithm", ["kkt-mst", "kkt-repair", "kkt-st"])
+def test_forced_batching_counters_bit_identical(algorithm, density, seed, monkeypatch):
+    # With the batch threshold at 2 every tree covering half the graph takes
+    # the batched columnar kernels and the CSR tree rebuilds.
+    monkeypatch.setattr(columnar, "BATCH_MIN_NODES", 2)
+    spec = GraphSpec(nodes=NODES, density=density, seed=seed)
+    _assert_equivalent(algorithm, spec)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -71,11 +89,7 @@ def test_churn_workload_counters_bit_identical(algorithm, density, seed):
         graph=GraphSpec(nodes=NODES, density=density, seed=seed),
         workload=WorkloadSpec(name="churn", updates=8),
     )
-    with fastpath.reference_path():
-        reference = _run(algorithm, spec)
-    with fastpath.fast_path():
-        fast = _run(algorithm, spec)
-    assert fast == reference
+    _assert_equivalent(algorithm, spec)
 
 
 @pytest.mark.parametrize("algorithm", ["kkt-mst", "kkt-st"])
@@ -86,11 +100,7 @@ def test_churn_prechurned_construction_counters_bit_identical(algorithm):
         graph=GraphSpec(nodes=NODES, density="sparse", seed=1),
         workload=WorkloadSpec(name="churn", updates=8),
     )
-    with fastpath.reference_path():
-        reference = _run(algorithm, spec)
-    with fastpath.fast_path():
-        fast = _run(algorithm, spec)
-    assert fast == reference
+    _assert_equivalent(algorithm, spec)
 
 
 def test_st_mode_repair_counters_bit_identical():
@@ -99,11 +109,7 @@ def test_st_mode_repair_counters_bit_identical():
         graph=GraphSpec(nodes=NODES, density="dense", seed=2),
         workload=WorkloadSpec(name="churn", updates=8),
     )
-    with fastpath.reference_path():
-        reference = _run("kkt-repair", spec, mode="st")
-    with fastpath.fast_path():
-        fast = _run("kkt-repair", spec, mode="st")
-    assert fast == reference
+    _assert_equivalent("kkt-repair", spec, mode="st")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -118,11 +124,7 @@ def test_fault_scenario_counters_bit_identical(algorithm, program, seed):
         workload=WorkloadSpec(name="churn", updates=6),
         faults=FaultSpec(name=program),
     )
-    with fastpath.reference_path():
-        reference = _run(algorithm, spec)
-    with fastpath.fast_path():
-        fast = _run(algorithm, spec)
-    assert fast == reference
+    fast = _assert_equivalent(algorithm, spec)
     assert fast["extra"]["fault_events"]
 
 
@@ -137,11 +139,7 @@ def test_byzantine_flooding_on_kernel_counters_bit_identical(program):
         schedule=ScheduleSpec(scheduler="random"),
         faults=FaultSpec(name=program),
     )
-    with fastpath.reference_path():
-        reference = _run("flooding", spec)
-    with fastpath.fast_path():
-        fast = _run("flooding", spec)
-    assert fast == reference
+    fast = _assert_equivalent("flooding", spec)
     assert fast["extra"]["fault_events"]  # at least the compromised-set plan
 
 
@@ -150,11 +148,7 @@ def test_bracha_substrate_counters_bit_identical(algorithm):
     # Substrate charging branches inside the broadcast executor, which both
     # paths share — hardened runs must stay observably equivalent too.
     spec = GraphSpec(nodes=NODES, density="sparse", seed=1)
-    with fastpath.reference_path():
-        reference = _run(algorithm, spec, substrate="bracha")
-    with fastpath.fast_path():
-        fast = _run(algorithm, spec, substrate="bracha")
-    assert fast == reference
+    fast = _assert_equivalent(algorithm, spec, substrate="bracha")
     assert fast["extra"]["substrate"] == "bracha"
 
 
@@ -168,8 +162,4 @@ def test_faulty_flooding_on_kernel_counters_bit_identical():
         schedule=ScheduleSpec(scheduler="random"),
         faults=FaultSpec(name="lossy-uniform", params={"drop": 0.2, "duplicate": 0.1}),
     )
-    with fastpath.reference_path():
-        reference = _run("flooding", spec)
-    with fastpath.fast_path():
-        fast = _run("flooding", spec)
-    assert fast == reference
+    _assert_equivalent("flooding", spec)

