@@ -643,12 +643,14 @@ class KKTRepairRunner:
         batch = _effective_repair_batch(repair_batch, schedule)
 
         start = time.perf_counter()
+        n = max(graph.num_nodes, 1)
         maintainer = TreeMaintainer(
             graph,
             forest,
             mode=scenario.mode,
-            seed=scenario.seed,
-            substrate=make_substrate(substrate, n=max(graph.num_nodes, 1)),
+            config=AlgorithmConfig(
+                n=n, seed=scenario.seed, substrate=make_substrate(substrate, n=n)
+            ),
         )
         if batch >= 1:
             outcomes = maintainer.apply_stream(stream, batch_size=batch)

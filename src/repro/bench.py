@@ -77,6 +77,7 @@ from .core.build_st import BuildST
 from .core.config import AlgorithmConfig
 from .core.findany import FindAny
 from .core.findmin import FindMin
+from .core.kernels import KERNELS
 from .core.testout import CutTester
 from .dynamic import TreeMaintainer
 from .generators import random_spanning_tree_forest
@@ -390,7 +391,10 @@ def _bench_broadcast_byzantine_body(
         ("bracha", make_substrate("bracha", n=n)),
     ):
         accountant = MessageAccountant()
-        executor = BroadcastEchoExecutor(graph, forest, accountant, substrate=substrate)
+        rooted = KERNELS.get()(graph, forest).rooted
+        executor = BroadcastEchoExecutor(
+            graph, forest, accountant, substrate=substrate, rooted=rooted
+        )
         for _ in range(8):
             executor.broadcast_and_echo(
                 root,

@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Union
 from ..core.config import AlgorithmConfig
 from ..core.repair import BatchRepairer, BatchRepairReport, RepairReport, TreeRepairer
 from ..network.accounting import MessageAccountant
-from ..network.broadcast import DeliverySubstrate
 from ..network.errors import AlgorithmError
 from ..network.fragments import SpanningForest
 from ..network.graph import Graph
@@ -62,11 +61,7 @@ class BatchOutcome:
 
 
 class TreeMaintainer:
-    """Maintain an MST (``mode="mst"``) or ST under an update stream.
-
-    Each update's repairer gets a config derived from ``config`` (or, without
-    one, from ``seed`` with the delivery ``substrate``).
-    """
+    """Maintain an MST (``mode="mst"``) or ST under an update stream."""
 
     def __init__(
         self,
@@ -76,7 +71,6 @@ class TreeMaintainer:
         config: Optional[AlgorithmConfig] = None,
         accountant: Optional[MessageAccountant] = None,
         seed: Optional[int] = None,
-        substrate: Optional[DeliverySubstrate] = None,
     ) -> None:
         if mode not in ("mst", "st"):
             raise AlgorithmError("mode must be 'mst' or 'st'")
@@ -88,7 +82,6 @@ class TreeMaintainer:
         self.accountant = accountant if accountant is not None else MessageAccountant()
         self._base_config = config
         self._seed = seed
-        self._substrate = substrate
         self._update_counter = 0
         self.history: List[UpdateOutcome] = []
         self.batch_history: List[BatchOutcome] = []
@@ -183,9 +176,7 @@ class TreeMaintainer:
             derived_seed = None if base_seed is None else base_seed + 7919 * counter
             return replace(self._base_config, seed=derived_seed)
         derived_seed = None if self._seed is None else self._seed + 7919 * counter
-        return AlgorithmConfig(
-            n=max(self.graph.num_nodes, 1), seed=derived_seed, substrate=self._substrate
-        )
+        return AlgorithmConfig(n=max(self.graph.num_nodes, 1), seed=derived_seed)
 
     def _repairer_for(self, counter: int) -> TreeRepairer:
         return TreeRepairer(

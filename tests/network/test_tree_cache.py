@@ -9,17 +9,20 @@ kernels, which root every call from scratch.
 """
 
 import random
+import threading
 
 import pytest
 
 import repro.network.columnar as columnar
+from repro.core.config import AlgorithmConfig
 from repro.core.kernels import ProductionKernels
+from repro.core.testout import CutTester
 from repro.generators import random_connected_graph, random_spanning_tree_forest
 from repro.network.broadcast import TreeStructure, build_tree_structure
 from repro.network.fragments import SpanningForest
 from repro.network.graph import Graph
 from repro.network.tree_cache import TreeStructureCache
-from repro.verify.reference import ReferenceKernels
+from repro.verify.reference import ReferenceKernels, reference_path
 
 
 def assert_same_structure(actual: TreeStructure, expected: TreeStructure) -> None:
@@ -139,13 +142,37 @@ class TestPatching:
 
     def test_reference_path_bypasses_cache(self):
         graph, forest = path_forest(5)
-        reference = ReferenceKernels(graph, forest)
-        assert reference.rooted(1) is not reference.rooted(1)
-        production = ProductionKernels(graph, forest)
-        cached = production.rooted(1)
-        assert production.rooted(1) is cached
+        with reference_path():
+            config = AlgorithmConfig(n=graph.num_nodes, seed=0)
+            tester = CutTester(graph, forest, config)
+            first = tester.executor.rooted(1)
+            second = tester.executor.rooted(1)
+        assert config.kernels is ReferenceKernels
+        assert first is not second
+        assert forest.rooted_structure(1) not in (first, second)
+        assert_same_structure(first, second)
+
+        config = AlgorithmConfig(n=graph.num_nodes, seed=0)
+        assert config.kernels is ProductionKernels
+        tester = CutTester(graph, forest, config)
+        cached = tester.kernels.rooted(1)
+        assert tester.executor.rooted(1) is cached
         assert forest.rooted_structure(1) is cached
-        assert_same_structure(cached, reference.rooted(1))
+        assert_same_structure(cached, first)
+
+    def test_reference_path_is_local_to_its_thread(self):
+        graph, forest = path_forest(5)
+        seen = []
+
+        def build_config():
+            seen.append(AlgorithmConfig(n=graph.num_nodes).kernels)
+
+        with reference_path():
+            worker = threading.Thread(target=build_config)
+            worker.start()
+            worker.join()
+            seen.append(AlgorithmConfig(n=graph.num_nodes).kernels)
+        assert seen == [ProductionKernels, ReferenceKernels]
 
 
 class TestFuzzAgainstRebuild:
