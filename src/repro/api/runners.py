@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..baselines.flooding_st import flooding_spanning_tree
 from ..baselines.ghs import GHSBuildMST
@@ -242,8 +242,8 @@ def _minimum_check(graph: Graph, pre_churned: bool):
     return is_minimum_weight_forest if pre_churned else is_minimum_spanning_forest
 
 
-def _count_component(local: Any, children: Any) -> int:
-    return int(local or 0) + sum(children)
+def _count_component(values: Iterable[Any]) -> int:
+    return sum(int(value or 0) for value in values)
 
 
 def _delivery_check(

@@ -399,7 +399,7 @@ def _bench_broadcast_byzantine_body(
             executor.broadcast_and_echo(
                 root,
                 local_value=lambda node: 1,
-                combine=lambda own, children: own + sum(children),
+                combine=sum,
                 broadcast_bits=1,
                 echo_bits=graph.id_bits,
                 kind="sum",

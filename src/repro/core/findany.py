@@ -28,7 +28,7 @@ worst-case ``O(|T_x|)`` and its success probability at least ``1/16``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import TreeStructure
@@ -150,13 +150,10 @@ class FindAny:
             return None
 
         # Step 4: the Test — count endpoints in T incident to the candidate.
-        def sum_combine(local_value: int, children: Sequence[int]) -> int:
-            return local_value + sum(children)
-
         endpoint_count = executor.broadcast_and_echo(
             root=root,
             local_value=kernels.endpoint_count(tree, candidate),
-            combine=sum_combine,
+            combine=sum,
             broadcast_bits=2 * id_bits,
             echo_bits=2,
             tree=tree,

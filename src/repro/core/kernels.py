@@ -2,11 +2,11 @@
 
 Each KKT procedure reduces to broadcast-and-echoes whose echoes aggregate
 *node-local* values: a node's tree statistics, its TestOut parity word, its
-HP-TestOut sketch, its FindAny prefix-parity word, XOR and endpoint count,
-and the weighted incident edges Sample draws from.  :class:`ProductionKernels`
-is the one place the procedures get those values from; a
-:class:`~repro.core.testout.CutTester` owns one instance, and FindMin,
-FindAny, Sample and repair reach it through their tester.
+HP-TestOut ``(up, down)`` product pair, its FindAny prefix-parity word, XOR
+and endpoint count, and the weighted incident edges Sample draws from.
+:class:`ProductionKernels` is the one place the procedures get those values
+from; a :class:`~repro.core.testout.CutTester` owns one instance, and
+FindMin, FindAny, Sample and repair reach it through their tester.
 
 Every value has at most two forms, picked per broadcast-and-echo by
 :func:`~repro.network.columnar.should_batch`:
@@ -39,7 +39,6 @@ from ..network.columnar import ColumnarGraph, should_batch
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .hashing import OddHashFunction, PairwiseIndependentHash
-from .polynomial import SetEqualitySketch
 from .sketches import (
     hp_products_all,
     prefix_flip_masks,
@@ -56,6 +55,11 @@ __all__ = ["KERNELS", "ProductionKernels"]
 
 #: ``(node) -> value``: one node's contribution to an echo.
 Local = Callable[[int], object]
+
+
+def _by_node(cols: ColumnarGraph, values: Sequence) -> Local:
+    """``node -> values[cols.pos[node]]`` as one C-level dict lookup per node."""
+    return dict(zip(cols.ids, values)).__getitem__
 
 
 class ProductionKernels:
@@ -129,9 +133,7 @@ class ProductionKernels:
         highs = [high for _, high in ranges]
         cols = self._columnar(tree)
         if cols is not None:
-            words = range_parity_words_all(cols, odd_hash, lows, highs)
-            pos = cols.pos
-            return lambda node: words[pos[node]]
+            return _by_node(cols, range_parity_words_all(cols, odd_hash, lows, highs))
         incident_arrays = self.graph.incident_arrays
 
         def local(node: int) -> int:
@@ -142,23 +144,16 @@ class ProductionKernels:
 
         return local
 
-    def hp_sketch(
+    def hp_pair(
         self, tree: Optional[TreeStructure], alpha: int, p: int, low: int, high: int
     ) -> Local:
-        """HP-TestOut sketch over the incident edges in ``[low, high]``."""
+        """HP-TestOut ``(up, down)`` products over the incident edges in ``[low, high]``."""
         cols = self._columnar(tree)
         if cols is not None:
-            products = hp_products_all(cols, alpha, p, low, high)
-            pos = cols.pos
-
-            def local(node: int) -> SetEqualitySketch:
-                up_product, down_product = products[pos[node]]
-                return SetEqualitySketch(up_product, down_product, alpha, p)
-
-            return local
+            return _by_node(cols, hp_products_all(cols, alpha, p, low, high))
         incident_arrays = self.graph.incident_arrays
 
-        def local(node: int) -> SetEqualitySketch:
+        def local(node: int) -> Tuple[int, int]:
             # Bisect to the incident edges inside the weight window and fold
             # their (alpha - #e) factors; multiplication mod p commutes, so
             # the weight-sorted order is harmless.
@@ -174,7 +169,7 @@ class ProductionKernels:
                     up_product = (up_product * (alpha - number)) % p
                 else:
                     down_product = (down_product * (alpha - number)) % p
-            return SetEqualitySketch(up_product, down_product, alpha, p)
+            return up_product, down_product
 
         return local
 
@@ -188,9 +183,7 @@ class ProductionKernels:
         masks = prefix_flip_masks(pairwise.log_range)
         cols = self._columnar(tree)
         if cols is not None:
-            words = prefix_parity_words_all(cols, pairwise, masks)
-            pos = cols.pos
-            return lambda node: words[pos[node]]
+            return _by_node(cols, prefix_parity_words_all(cols, pairwise, masks))
         incident_arrays = self.graph.incident_arrays
         return lambda node: prefix_parity_word(
             incident_arrays(node).numbers, pairwise, masks
@@ -205,9 +198,7 @@ class ProductionKernels:
         """FindAny step 3(d): XOR of edge numbers hashing below ``2^prefix``."""
         cols = self._columnar(tree)
         if cols is not None:
-            words = xor_below_words_all(cols, pairwise, prefix_exponent)
-            pos = cols.pos
-            return lambda node: words[pos[node]]
+            return _by_node(cols, xor_below_words_all(cols, pairwise, prefix_exponent))
         incident_arrays = self.graph.incident_arrays
         return lambda node: xor_below_from_numbers(
             incident_arrays(node).numbers, pairwise, prefix_exponent

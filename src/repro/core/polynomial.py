@@ -18,19 +18,21 @@ with probability at least ``1 − B/p`` whenever the multisets differ, where
 ``B`` bounds the degree.
 
 Each node only ever computes the product over *its own* incident edges
-(:func:`local_product`); the per-node products are multiplied up the tree by
-the echo (multiplication mod p is associative), which is what Lemma 1 needs.
+(:func:`local_product`); the echo multiplies the per-node ``(up, down)``
+pairs together (:func:`combine_product_pairs` — multiplication mod p is
+commutative and associative), which is what Lemma 1 needs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from ..network.errors import AlgorithmError
 
 __all__ = [
     "local_product",
     "combine_products",
+    "combine_product_pairs",
     "SetEqualitySketch",
 ]
 
@@ -51,6 +53,15 @@ def combine_products(values: Sequence[int], p: int) -> int:
     for value in values:
         product = (product * value) % p
     return product
+
+
+def combine_product_pairs(pairs: Iterable[Tuple[int, int]], p: int) -> Tuple[int, int]:
+    """HP-TestOut's echo reducer: componentwise product mod ``p`` of ``(up, down)``."""
+    up = down = 1
+    for pair_up, pair_down in pairs:
+        up = up * pair_up % p
+        down = down * pair_down % p
+    return up, down
 
 
 class SetEqualitySketch:

@@ -37,6 +37,7 @@ from ..network.graph import Edge, Graph, edge_key
 from .config import AlgorithmConfig
 from .findany import FindAny
 from .findmin import FindMin, FindResult
+from .sketches import first_not_none
 
 __all__ = ["RepairReport", "TreeRepairer", "BatchRepairReport", "BatchRepairer"]
 
@@ -266,12 +267,6 @@ class TreeRepairer:
                 return state if state is not None else "root-is-target"
             return None
 
-        def combine(local_value, children):
-            for value in [local_value] + list(children):
-                if value is not None:
-                    return value
-            return None
-
         answer = executor.broadcast_with_downward_state(
             root=root,
             initial_state=None,
@@ -279,7 +274,7 @@ class TreeRepairer:
             broadcast_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
             echo_bits=2 * id_bits + self.graph.max_weight().bit_length() + 2,
             collect=collect,
-            combine=combine,
+            combine=first_not_none,
             tree=tree,
             kind="path_query",
         )

@@ -31,7 +31,10 @@ module implements its stated idea:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from heapq import nsmallest
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import TreeStructure
@@ -43,7 +46,15 @@ from .hashing import random_odd_hash
 from .primes import prime_for_field
 from .testout import CutTester
 
-__all__ = ["SuperpolyFindMin"]
+__all__ = ["SuperpolyFindMin", "merge_smallest"]
+
+#: A keyed offer: ``(random key, augmented weight)``.
+Offer = Tuple[float, int]
+
+
+def merge_smallest(offer_lists: Iterable[List[Offer]], count: int) -> List[Offer]:
+    """Sample's echo reducer: the ``count`` smallest offers of all the lists, sorted."""
+    return nsmallest(count, chain.from_iterable(offer_lists))
 
 
 class SuperpolyFindMin:
@@ -167,9 +178,9 @@ class SuperpolyFindMin:
         iteration_seed = self._rng.getrandbits(64)
         weighted_edges = self.tester.kernels.weighted_edges
 
-        def local(node: int) -> List[Tuple[float, int]]:
+        def local(node: int) -> List[Offer]:
             node_rng = random.Random((iteration_seed << 20) ^ node)
-            offers: List[Tuple[float, int]] = []
+            offers: List[Offer] = []
             for edge, weight in weighted_edges(node):
                 if self.forest.is_marked(edge.u, edge.v):
                     continue
@@ -178,18 +189,11 @@ class SuperpolyFindMin:
             offers.sort()
             return offers[:count]
 
-        def combine(local_value, children):
-            merged = list(local_value)
-            for child in children:
-                merged.extend(child)
-            merged.sort()
-            return merged[:count]
-
         weight_bits = max(high.bit_length(), 1)
         samples = self.tester.executor.broadcast_and_echo(
             root=root,
             local_value=local,
-            combine=combine,
+            combine=partial(merge_smallest, count=count),
             broadcast_bits=2 * weight_bits + 8,
             echo_bits=max(weight_bits, count),
             tree=tree,

@@ -38,7 +38,9 @@ The straight-line ``local_*`` kernels these are checked against live in
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Sequence, Tuple
+from functools import reduce
+from operator import xor
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from ..accel import numpy_or_none
 from ..network.columnar import ColumnarGraph
@@ -55,6 +57,7 @@ __all__ = [
     "hp_products_all",
     "ranges_are_disjoint_sorted",
     "xor_combine",
+    "first_not_none",
 ]
 
 _UINT64_MAX = (1 << 64) - 1
@@ -361,9 +364,15 @@ def hp_products_all(
     return products
 
 
-def xor_combine(local: int, children: Sequence[int]) -> int:
-    """Associative combiner: XOR a local value with children values."""
-    result = local
-    for value in children:
-        result ^= value
-    return result
+def xor_combine(values: Iterable[int]) -> int:
+    """Echo reducer for parity and XOR words: their XOR (0 for none)."""
+    return reduce(xor, values, 0)
+
+
+def first_not_none(values: Iterable[Any]) -> Any:
+    """Echo reducer for a query only one node answers: its value, else ``None``.
+
+    With at most one non-``None`` value in the multiset the result does not
+    depend on the order the values arrive in (the Insert path query).
+    """
+    return next((value for value in values if value is not None), None)

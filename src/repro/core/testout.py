@@ -17,8 +17,9 @@ broadcast-and-echo:
   ``E↓(T)`` are equal (Observation 1) using the Schwartz–Zippel identity
   check over ``Z_p``: the root broadcasts a random ``α ∈ Z_p``; every node
   returns the pair of products over its "up" and "down" incident edges; the
-  pairs multiply up the tree.  If no edge leaves, the two products are always
-  equal; if some edge leaves they differ with probability ``≥ 1 − ε(n)``.
+  echo multiplies the pairs componentwise.  If no edge leaves, the two
+  products are always equal; if some edge leaves they differ with
+  probability ``≥ 1 − ε(n)``.
 
 Throughout this package, weight intervals refer to **augmented weights**
 (weight concatenated with the edge number, see :mod:`repro.network.graph`),
@@ -28,7 +29,8 @@ which is exactly the paper's device for making weights distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..network.accounting import MessageAccountant
 from ..network.broadcast import BroadcastEchoExecutor, TreeStructure
@@ -37,11 +39,20 @@ from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
 from .config import AlgorithmConfig
 from .hashing import OddHashFunction, random_odd_hash
-from .polynomial import SetEqualitySketch
+from .polynomial import combine_product_pairs
 from .primes import prime_for_field
 from .sketches import xor_combine
 
-__all__ = ["TreeStatistics", "CutTester"]
+__all__ = ["TreeStatistics", "CutTester", "combine_statistics"]
+
+#: One node's statistics echo: ``(size, maxEdgeNum, maxAugWt, endpoints)``.
+Statistics = Tuple[int, int, int, int]
+
+
+def combine_statistics(values: Iterable[Statistics]) -> Statistics:
+    """Echo reducer for :meth:`CutTester.tree_statistics`: sum, max, max, sum."""
+    sizes, max_numbers, max_weights, endpoints = zip(*values)
+    return sum(sizes), max(max_numbers), max(max_weights), sum(endpoints)
 
 
 @dataclass(frozen=True)
@@ -101,22 +112,12 @@ class CutTester:
     ) -> TreeStatistics:
         """One broadcast-and-echo computing size, maxEdgeNum, maxWt and B."""
         id_bits = self.graph.id_bits
-
-        def combine(local_value, children):
-            size, max_en, max_aw, endpoints = local_value
-            for child in children:
-                size += child[0]
-                max_en = max(max_en, child[1])
-                max_aw = max(max_aw, child[2])
-                endpoints += child[3]
-            return (size, max_en, max_aw, endpoints)
-
         max_weight = self.kernels.max_weight()
         payload_bits = max(8, 2 * id_bits + max_weight.bit_length() + 4)
         size, max_en, max_aw, endpoints = self.executor.broadcast_and_echo(
             root=root,
             local_value=self.kernels.statistics(tree),
-            combine=combine,
+            combine=combine_statistics,
             broadcast_bits=8,
             echo_bits=payload_bits,
             tree=tree,
@@ -244,21 +245,16 @@ class CutTester:
         id_bits = self.graph.id_bits
         low_bound = low if low is not None else 0
         high_bound = high if high is not None else (1 << 256)
-
-        def combine(local_value: SetEqualitySketch, children) -> SetEqualitySketch:
-            return local_value.combine(list(children))
-
-        payload_bits = 2 * p.bit_length()
-        sketch = self.executor.broadcast_and_echo(
+        up, down = self.executor.broadcast_and_echo(
             root=root,
-            local_value=self.kernels.hp_sketch(tree, alpha, p, low_bound, high_bound),
-            combine=combine,
+            local_value=self.kernels.hp_pair(tree, alpha, p, low_bound, high_bound),
+            combine=partial(combine_product_pairs, p=p),
             broadcast_bits=p.bit_length() + min(4 * id_bits + 64, 256),
-            echo_bits=payload_bits,
+            echo_bits=2 * p.bit_length(),
             tree=tree,
             kind="hp_testout",
         )
-        return not sketch.sides_equal
+        return up != down
 
     # ------------------------------------------------------------------ #
     # convenience for verification / experiments (God's-eye view)

@@ -2,24 +2,30 @@
 
 The paper (Section 1) builds every algorithm out of a single primitive, a
 broadcast from a root node ``x`` over the maintained tree followed by an echo
-that aggregates values from the leaves back up to ``x``.  Two realisations
-are provided:
+that aggregates values from the leaves back up to ``x``.  Every echo in the
+paper folds node-local values with a commutative, associative operation —
+XOR of parity words, products mod ``p`` of Schwartz–Zippel pairs, sums and
+maxima — so the root's aggregate is the fold of the multiset of node-local
+values, whatever the tree's shape.  The echo contract is that one reducer
+(:data:`CombineFn`).  Two realisations are provided:
 
 * :class:`BroadcastEchoExecutor` — the centralised executor used by all
-  algorithms in :mod:`repro.core`.  It walks the tree structure directly
-  and charges the accountant exactly the messages a per-node execution
-  would send: one broadcast message and one echo message per tree edge,
-  with the declared bit widths, and ``2 × eccentricity(root)`` rounds.
-  Local computation is restricted to the node-local callback it is given (a
-  node sees only its own ID, its incident edges and the broadcast payload),
-  so the distributed semantics are preserved even though the execution is
-  centralised.
+  algorithms in :mod:`repro.core`.  It folds the node-local values of the
+  tree's node set in one flat reduction and charges the accountant exactly
+  the messages a per-node execution would send: one broadcast message and
+  one echo message per tree edge, with the declared bit widths, and
+  ``2 × eccentricity(root)`` rounds.  Local computation is restricted to the
+  node-local callback it is given (a node sees only its own ID, its incident
+  edges and the broadcast payload), so the distributed semantics are
+  preserved even though the execution is centralised.
 
 * :class:`BroadcastEchoProtocolNode` — a genuine per-node protocol for the
-  message-level engines.  Tests run the same aggregation through both paths
-  and assert that message counts, bit counts and results agree
-  (``tests/network/test_broadcast.py``); this is what justifies using the
-  executor for the large benchmark runs.
+  message-level engines.  Each node applies the same reducer to its own
+  value and its children's echoes, ``combine([own, *children])``.  Tests run
+  the same aggregation through both paths and assert that message counts,
+  bit counts and results agree (``tests/network/test_broadcast.py``,
+  ``tests/properties/test_property_echo_algebra.py``); this is what
+  justifies using the executor for the large benchmark runs.
 
 Both realisations assume reliable point-to-point delivery.  That assumption
 is itself pluggable: a registered :class:`DeliverySubstrate` (see
@@ -36,7 +42,8 @@ keeps every counter bit-identical.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import starmap
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .accounting import MessageAccountant
 from .errors import ProtocolError, SimulationError
@@ -62,17 +69,19 @@ __all__ = [
 # information local to the node (its incident edges / the broadcast payload);
 # algorithms in repro.core honour this contract.
 LocalValueFn = Callable[[int], Any]
-# Combine a node's local value with the already-combined values of its
-# children; must be associative in the children argument.
-CombineFn = Callable[[Any, Sequence[Any]], Any]
+# Reduce any non-empty multiset of echo values (node-local values or partial
+# aggregates) to one aggregate.  Must be commutative and associative, so the
+# executor may fold the whole node set at once while a protocol node folds
+# its own value with its children's echoes.
+CombineFn = Callable[[Iterable[Any]], Any]
 
 
 class TreeStructure:
     """Rooted view of one maintained tree: parents, children, depths.
 
     Structures live across many broadcast-and-echoes via the
-    :class:`~repro.network.tree_cache.TreeStructureCache`, so the traversal
-    orders and the eccentricity are memoised; the cache calls
+    :class:`~repro.network.tree_cache.TreeStructureCache`, so the pre-order
+    and the eccentricity are memoised; the cache calls
     :meth:`invalidate_orders` whenever it patches the structure.
     """
 
@@ -87,7 +96,6 @@ class TreeStructure:
         self.parent = parent
         self.children = children
         self.depth = depth
-        self._postorder: Optional[List[int]] = None
         self._preorder: Optional[List[int]] = None
         self._eccentricity: Optional[int] = None
 
@@ -113,36 +121,15 @@ class TreeStructure:
 
     def invalidate_orders(self) -> None:
         """Forget memoised traversals after the structure was patched."""
-        self._postorder = None
         self._preorder = None
         self._eccentricity = None
-
-    def postorder(self) -> List[int]:
-        """Nodes in post-order (children before parents), deterministic.
-
-        The returned list is memoised — treat it as read-only.
-        """
-        if self._postorder is not None:
-            return self._postorder
-        order: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for child in reversed(self.children[node]):
-                stack.append((child, False))
-        self._postorder = order
-        return order
 
     def preorder(self) -> List[int]:
         """Nodes in pre-order (parents before children), deterministic.
 
         Used by :meth:`BroadcastEchoExecutor.broadcast_with_downward_state`
-        for the downward sweep instead of reversing a fresh post-order copy.
-        The returned list is memoised — treat it as read-only.
+        for the downward sweep.  The returned list is memoised — treat it as
+        read-only.
         """
         if self._preorder is not None:
             return self._preorder
@@ -339,15 +326,14 @@ class BroadcastEchoExecutor:
 
         Charges ``num_edges`` broadcast messages of ``broadcast_bits`` bits,
         ``num_edges`` echo messages of ``echo_bits`` bits, and
-        ``2 × eccentricity`` rounds (the paper's time for one B&E).
+        ``2 × eccentricity`` rounds (the paper's time for one B&E).  The
+        aggregate is ``combine`` over the node-local values of the tree's
+        node set: the reducer is commutative and associative, so it equals
+        the value the per-node echo delivers at the root.
         """
         structure = tree if tree is not None else self.rooted(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
-        values: Dict[int, Any] = {}
-        for node in structure.postorder():
-            child_values = [values[child] for child in structure.children[node]]
-            values[node] = combine(local_value(node), child_values)
-        return values[structure.root]
+        return combine(map(local_value, structure.parent))
 
     def broadcast_only(
         self,
@@ -389,20 +375,18 @@ class BroadcastEchoExecutor:
         to ``child`` when the broadcast crosses the tree edge
         ``(parent, child)`` — e.g. the maximum edge weight seen on the path
         from the root, used by ``Insert`` (Section 3.2).  ``collect(node,
-        state)`` produces the node's local echo value, which is aggregated
-        with ``combine`` as usual.
+        state)`` produces the node's local echo value, and ``combine``
+        reduces those values as in :meth:`broadcast_and_echo`.
         """
         structure = tree if tree is not None else self.rooted(root)
         self._charge(structure, broadcast_bits, echo_bits, kind)
         state: Dict[int, Any] = {structure.root: initial_state}
+        children = structure.children
         for node in structure.preorder():  # parents first
-            for child in structure.children[node]:
-                state[child] = propagate(state[node], node, child)
-        values: Dict[int, Any] = {}
-        for node in structure.postorder():
-            child_values = [values[child] for child in structure.children[node]]
-            values[node] = combine(collect(node, state[node]), child_values)
-        return values[structure.root]
+            node_state = state[node]
+            for child in children[node]:
+                state[child] = propagate(node_state, node, child)
+        return combine(starmap(collect, state.items()))
 
     def point_to_point_along_edge(self, u: int, v: int, size_bits: int, kind: str = "p2p") -> None:
         """Charge a single message over the (graph) edge ``{u, v}``."""
@@ -449,8 +433,8 @@ class BroadcastEchoProtocolNode(ProtocolNode):
     designated root starts the broadcast in ``on_start``.  A node receiving
     the broadcast designates the sender as its parent and forwards to its
     other tree neighbours; leaves echo immediately; an internal node echoes
-    once it has heard from all children, combining its local value with
-    theirs.
+    once it has heard from all children, reducing its local value and theirs
+    with ``combine([own, *children])``.
     """
 
     def __init__(
@@ -481,7 +465,7 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         if self.is_root:
             self.pending_children = set(self.tree_neighbors)
             if not self.pending_children:
-                self.result = self.combine(self.local_value, [])
+                self.result = self.combine([self.local_value])
                 self.done = True
                 self.halt()
                 return
@@ -504,7 +488,7 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         self.parent = sender
         self.pending_children = set(self.tree_neighbors) - {sender}
         if not self.pending_children:
-            value = self.combine(self.local_value, [])
+            value = self.combine([self.local_value])
             self.send(sender, "ECHO", payload=value, size_bits=self.echo_bits)
             self.done = True
             self.halt()
@@ -521,7 +505,7 @@ class BroadcastEchoProtocolNode(ProtocolNode):
         self.child_values.append(value)
         if self.pending_children:
             return
-        combined = self.combine(self.local_value, self.child_values)
+        combined = self.combine([self.local_value, *self.child_values])
         if self.is_root:
             self.result = combined
         else:

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.hashing import OddHashFunction
 from ..core.polynomial import SetEqualitySketch
+from ..core.sketches import first_not_none, xor_combine
 from .accounting import MessageAccountant
 from .async_simulator import AsynchronousSimulator
 from .errors import ProtocolError, SimulationError
@@ -51,10 +52,10 @@ class TreeAggregationNode(ProtocolNode):
     The root sends a ``QUERY`` message carrying a (protocol-specific) state to
     each tree neighbour; every other node adopts the first ``QUERY`` sender as
     its parent, transforms the state with ``propagate`` and forwards it; once
-    a node has received ``REPLY`` messages from all its children it combines
-    its local value (``collect`` of its node id and received state) with the
-    children's values (``combine``) and replies to its parent.  The root's
-    combined value is the protocol result.
+    a node has received ``REPLY`` messages from all its children it reduces
+    its local value (``collect`` of its node id and received state) and the
+    children's values with ``combine([own, *children])`` and replies to its
+    parent.  The root's combined value is the protocol result.
 
     This is exactly the reference broadcast-and-echo of
     :mod:`repro.network.broadcast`, generalised with the downward state so
@@ -96,7 +97,7 @@ class TreeAggregationNode(ProtocolNode):
         self.state = self.initial_state
         self.pending = set(self.tree_neighbors)
         if not self.pending:
-            self.result = self.combine(self.collect(self.node_id, self.state), [])
+            self.result = self.combine([self.collect(self.node_id, self.state)])
             self.halt()
             return
         for neighbor in sorted(self.pending):
@@ -122,7 +123,7 @@ class TreeAggregationNode(ProtocolNode):
         self.state = state
         self.pending = set(self.tree_neighbors) - {sender}
         if not self.pending:
-            value = self.combine(self.collect(self.node_id, self.state), [])
+            value = self.combine([self.collect(self.node_id, self.state)])
             self.send(sender, "REPLY", payload=value, size_bits=self.reply_bits)
             self.halt()
             return
@@ -137,7 +138,9 @@ class TreeAggregationNode(ProtocolNode):
         self.child_values.append(value)
         if self.pending:
             return
-        combined = self.combine(self.collect(self.node_id, self.state), self.child_values)
+        combined = self.combine(
+            [self.collect(self.node_id, self.state), *self.child_values]
+        )
         if self.is_root:
             self.result = combined
         else:
@@ -218,11 +221,6 @@ def run_testout_protocol(
                 parity ^= odd_hash(edge.edge_number(id_bits))
         return parity
 
-    def combine(local: int, children: List[int]) -> int:
-        for value in children:
-            local ^= value
-        return local
-
     def propagate(state: Any, _parent: int, _child: int) -> Any:
         return state
 
@@ -231,7 +229,7 @@ def run_testout_protocol(
         forest,
         root,
         collect,
-        combine,
+        xor_combine,
         propagate,
         initial_state=None,
         query_bits=odd_hash.description_bits(),
@@ -272,8 +270,8 @@ def run_hp_testout_protocol(
             (up if node_id == edge.u else down).append(number)
         return SetEqualitySketch.from_local_edges(up, down, alpha, p)
 
-    def combine(local: SetEqualitySketch, children: List[SetEqualitySketch]):
-        return local.combine(children)
+    def combine(sketches: List[SetEqualitySketch]) -> SetEqualitySketch:
+        return SetEqualitySketch.identity(alpha, p).combine(sketches)
 
     def propagate(state: Any, _parent: int, _child: int) -> Any:
         return state
@@ -327,18 +325,12 @@ def run_path_max_protocol(
             return ("found", state)
         return None
 
-    def combine(local, children):
-        for value in [local] + list(children):
-            if value is not None:
-                return value
-        return None
-
     answer, accountant = _run_aggregation(
         graph,
         forest,
         root,
         collect,
-        combine,
+        first_not_none,
         propagate,
         initial_state=None,
         query_bits=2 * id_bits + max(graph.max_weight().bit_length(), 1),

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.hashing import OddHashFunction, PairwiseIndependentHash
 from ..core.kernels import KERNELS, Local
-from ..core.polynomial import SetEqualitySketch
+from ..core.polynomial import local_product
 from ..network.broadcast import TreeStructure, build_tree_structure
 from ..network.fragments import SpanningForest
 from ..network.graph import Edge, Graph
@@ -168,10 +168,10 @@ class ReferenceKernels:
 
         return local
 
-    def hp_sketch(
+    def hp_pair(
         self, tree: Optional[TreeStructure], alpha: int, p: int, low: int, high: int
     ) -> Local:
-        def local(node: int) -> SetEqualitySketch:
+        def local(node: int) -> Tuple[int, int]:
             up_numbers = []
             down_numbers = []
             for edge in self.graph.incident_edges(node):
@@ -179,7 +179,7 @@ class ReferenceKernels:
                     continue
                 side = up_numbers if node == edge.u else down_numbers
                 side.append(edge.edge_number(self.id_bits))
-            return SetEqualitySketch.from_local_edges(up_numbers, down_numbers, alpha, p)
+            return local_product(up_numbers, alpha, p), local_product(down_numbers, alpha, p)
 
         return local
 

@@ -38,10 +38,11 @@ class TestParityWords:
 
 class TestCombiners:
     def test_xor_combine(self):
-        assert xor_combine(0b1100, [0b1010, 0b0001]) == 0b0111
+        assert xor_combine([0b1100, 0b1010, 0b0001]) == 0b0111
 
     def test_xor_combine_no_children(self):
-        assert xor_combine(7, []) == 7
+        # A leaf's echo is its own value alone.
+        assert xor_combine([7]) == 7
 
 
 class TestLocalParity:

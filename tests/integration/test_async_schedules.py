@@ -35,8 +35,8 @@ class TestBroadcastEchoUnderAdversaries:
         forest = random_spanning_tree_forest(graph, seed=3)
         local_values = {node: node * 3 for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
+        def combine(values):
+            return sum(value or 0 for value in values)
 
         value, acct = run_reference_broadcast_echo(
             graph,
@@ -59,9 +59,8 @@ class TestBroadcastEchoUnderAdversaries:
         forest = random_spanning_tree_forest(graph, seed=4)
         local_values = {node: 1000 - node for node in graph.nodes()}
 
-        def combine(local, children):
-            values = [local] + list(children) if local is not None else list(children)
-            return min(values)
+        def combine(values):
+            return min(value for value in values if value is not None)
 
         value, _ = run_reference_broadcast_echo(
             graph, forest, root=2, local_values=local_values, combine=combine,

@@ -44,14 +44,6 @@ class TestTreeStructure:
         assert tree.num_edges == 6
         assert tree.eccentricity == 3
 
-    def test_postorder_children_before_parents(self):
-        graph, forest = _tree_graph()
-        tree = build_tree_structure(forest, root=1)
-        order = tree.postorder()
-        assert order[-1] == 1
-        assert order.index(3) < order.index(2)
-        assert order.index(5) < order.index(4)
-
     def test_preorder_parents_before_children(self):
         graph, forest = _tree_graph()
         tree = build_tree_structure(forest, root=1)
@@ -73,10 +65,12 @@ class TestTreeStructure:
     def test_invalidate_orders_recomputes(self):
         graph, forest = _tree_graph()
         tree = build_tree_structure(forest, root=1)
-        before = tree.postorder()
+        before = tree.preorder()
         tree.invalidate_orders()
-        assert tree.postorder() == before
-        assert tree.preorder()[0] == 1
+        after = tree.preorder()
+        assert after is not before
+        assert after == before
+        assert after[0] == 1
 
     def test_path_from_root(self):
         graph, forest = _tree_graph()
@@ -104,7 +98,7 @@ class TestExecutorAccounting:
         total = executor.broadcast_and_echo(
             root=1,
             local_value=lambda node: 1,
-            combine=lambda local, children: local + sum(children),
+            combine=sum,
             broadcast_bits=10,
             echo_bits=3,
         )
@@ -132,7 +126,7 @@ class TestExecutorAccounting:
         value = executor.broadcast_and_echo(
             root=1,
             local_value=lambda node: 5,
-            combine=lambda local, children: local + sum(children),
+            combine=sum,
             broadcast_bits=8,
             echo_bits=8,
         )
@@ -161,9 +155,9 @@ class TestExecutorAccounting:
         def collect(node, state):
             return state if node == 5 else None
 
-        def combine(local, children):
-            values = [v for v in [local] + list(children) if v is not None]
-            return values[0] if values else None
+        def combine(values):
+            found = [v for v in values if v is not None]
+            return found[0] if found else None
 
         answer = executor.broadcast_with_downward_state(
             root=1,
@@ -184,8 +178,8 @@ class TestReferenceProtocolAgreement:
         graph, forest = _tree_graph()
         local_values = {node: node * node for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
+        def combine(values):
+            return sum(value or 0 for value in values)
 
         reference_value, reference_acct = run_reference_broadcast_echo(
             graph, forest, root=1, local_values=local_values, combine=combine,
@@ -212,8 +206,8 @@ class TestReferenceProtocolAgreement:
         graph, forest = _tree_graph()
         local_values = {node: node for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
+        def combine(values):
+            return sum(value or 0 for value in values)
 
         value, acct = run_reference_broadcast_echo(
             graph, forest, root=2, local_values=local_values, combine=combine,
@@ -228,8 +222,8 @@ class TestReferenceProtocolAgreement:
         forest.unmark(2, 4)   # split {1,2,3,7} / {4,5,6}
         local_values = {node: 1 for node in graph.nodes()}
 
-        def combine(local, children):
-            return (local or 0) + sum(children)
+        def combine(values):
+            return sum(value or 0 for value in values)
 
         value, acct = run_reference_broadcast_echo(
             graph, forest, root=1, local_values=local_values, combine=combine,

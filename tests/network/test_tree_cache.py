@@ -31,7 +31,6 @@ def assert_same_structure(actual: TreeStructure, expected: TreeStructure) -> Non
     assert actual.children == expected.children
     assert actual.depth == expected.depth
     assert actual.eccentricity == expected.eccentricity
-    assert actual.postorder() == expected.postorder()
     assert actual.preorder() == expected.preorder()
 
 
