@@ -105,13 +105,11 @@ class SetEqualitySketch:
 
     def combine(self, others: Sequence["SetEqualitySketch"]) -> "SetEqualitySketch":
         """Combine this sketch with children sketches (echo aggregation)."""
-        up = self.up
-        down = self.down
         for other in others:
             if other.p != self.p or other.alpha != self.alpha:
                 raise AlgorithmError("cannot combine sketches with different parameters")
-            up = (up * other.up) % self.p
-            down = (down * other.down) % self.p
+        pairs = ((sketch.up, sketch.down) for sketch in (self, *others))
+        up, down = combine_product_pairs(pairs, self.p)
         return SetEqualitySketch(up, down, self.alpha, self.p)
 
     @property

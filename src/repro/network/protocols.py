@@ -11,7 +11,7 @@ machines that run on the synchronous or asynchronous engine:
   odd hash function and a weight range over the tree; every node answers with
   the parity of its incident hashed edges; parities XOR up the tree.
 * :func:`run_hp_testout_protocol` — ``HP-TestOut(x, j, k)``: same shape, with
-  the Schwartz–Zippel set-equality sketch as the echo value.
+  the Schwartz–Zippel ``(up, down)`` product pair as the echo value.
 * :func:`run_path_max_protocol` — the ``Insert(u, v)`` query: a broadcast
   that carries the running path maximum downward and an echo that reports
   whether ``v`` was found and which path edge was heaviest.
@@ -23,10 +23,11 @@ the fragment-level implementations in :mod:`repro.core`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.hashing import OddHashFunction
-from ..core.polynomial import SetEqualitySketch
+from ..core.polynomial import combine_product_pairs, local_product
 from ..core.sketches import first_not_none, xor_combine
 from .accounting import MessageAccountant
 from .async_simulator import AsynchronousSimulator
@@ -260,7 +261,7 @@ def run_hp_testout_protocol(
     high_bound = high if high is not None else (1 << 256)
     p = field_prime
 
-    def collect(node_id: int, _state: Any) -> SetEqualitySketch:
+    def collect(node_id: int, _state: Any) -> Tuple[int, int]:
         up, down = [], []
         for edge in graph.incident_edges(node_id):
             weight = edge.augmented_weight(id_bits)
@@ -268,20 +269,17 @@ def run_hp_testout_protocol(
                 continue
             number = edge.edge_number(id_bits)
             (up if node_id == edge.u else down).append(number)
-        return SetEqualitySketch.from_local_edges(up, down, alpha, p)
-
-    def combine(sketches: List[SetEqualitySketch]) -> SetEqualitySketch:
-        return SetEqualitySketch.identity(alpha, p).combine(sketches)
+        return local_product(up, alpha, p), local_product(down, alpha, p)
 
     def propagate(state: Any, _parent: int, _child: int) -> Any:
         return state
 
-    sketch, accountant = _run_aggregation(
+    (up, down), accountant = _run_aggregation(
         graph,
         forest,
         root,
         collect,
-        combine,
+        partial(combine_product_pairs, p=p),
         propagate,
         initial_state=None,
         query_bits=p.bit_length(),
@@ -289,7 +287,7 @@ def run_hp_testout_protocol(
         engine=engine,
         scheduler=scheduler,
     )
-    return (not sketch.sides_equal), accountant
+    return up != down, accountant
 
 
 # ---------------------------------------------------------------------- #
