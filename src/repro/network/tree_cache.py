@@ -30,6 +30,7 @@ Production code reaches the cache through
 
 from __future__ import annotations
 
+import weakref
 from bisect import insort
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional
@@ -53,13 +54,20 @@ class TreeStructureCache:
     """LRU cache of rooted :class:`TreeStructure` views of one forest."""
 
     def __init__(self, forest: SpanningForest, max_entries: int = 16) -> None:
-        self.forest = forest
+        # The forest owns its cache; a weak back-reference keeps the pair out
+        # of a reference cycle, so a dropped forest and its graph are freed at
+        # once instead of at the next cyclic garbage collection.
+        self._forest = weakref.ref(forest)
         self.max_entries = max_entries
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self.hits = 0
         self.rebuilds = 0
         self.patches = 0
         self.journal_overruns = 0
+
+    @property
+    def forest(self) -> SpanningForest:
+        return self._forest()
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -192,10 +200,11 @@ class TreeStructureCache:
         parent[start] = anchor
         children[start] = []
         depth[start] = depth[anchor] + 1
+        marked_neighbors = self.forest.marked_neighbors
         queue = deque([start])
         while queue:
             node = queue.popleft()
-            for nbr in self.forest.marked_neighbors(node):
+            for nbr in marked_neighbors(node):
                 if nbr == parent[node]:
                     continue
                 if nbr in parent:
@@ -228,8 +237,9 @@ class TreeStructureCache:
             del parent[node]
             del children[node]
             del depth[node]
+        marked_neighbors = self.forest.marked_neighbors
         for node in removed:
-            for nbr in self.forest.marked_neighbors(node):
+            for nbr in marked_neighbors(node):
                 if nbr in parent:
                     return None
         return True

@@ -8,8 +8,10 @@ to a fresh ``build_tree_structure`` — that is what makes the cached counters
 kernels, which root every call from scratch.
 """
 
+import gc
 import random
 import threading
+import weakref
 
 import pytest
 
@@ -128,6 +130,19 @@ class TestPatching:
         forest.clear()
         structure = cache.get(1)
         assert structure.size == 1
+
+    def test_dropped_forest_is_freed_without_cycle_collection(self):
+        # The cache refers back to its forest weakly, so forest, cache and
+        # graph form no reference cycle and a dropped forest is freed at once.
+        graph, forest = path_forest(6)
+        forest.rooted_structure(1)
+        gone = weakref.ref(forest)
+        gc.disable()
+        try:
+            del forest
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_lru_eviction(self):
         graph, forest = path_forest(6)
